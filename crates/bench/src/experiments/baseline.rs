@@ -1,16 +1,24 @@
-//! The `baseline` target: a deterministic performance baseline for
-//! regression trajectories.
+//! The `baseline` target: a deterministic performance baseline, gated
+//! against the committed `BENCH_baseline.json`.
 //!
 //! Runs a *fixed* seed matrix — independent of `--quick`, so the output is
 //! canonical — and writes `BENCH_baseline.json` next to the usual
 //! experiment files: Q/s, translations per lookup, and per-phase time
 //! shares for every (strategy, R size) point. The simulator is
 //! deterministic and the JSON writer formats floats deterministically, so
-//! the same toolchain produces a byte-identical file on every run — CI
-//! runs the target twice and byte-diffs the outputs, and future PRs diff
-//! their baseline against this one to see exactly which phase moved.
+//! the same toolchain produces a byte-identical file on every run and for
+//! any `--jobs` count — CI byte-diffs a serial and a 4-worker run.
+//!
+//! Every point is diffed against the committed file ([`GATE`]): discrete
+//! outcomes (windows, result tuples, retries) exactly, throughput-like
+//! metrics within 2 % relative, phase shares within 0.02 absolute. Any
+//! violation fails the target, so a perf regression — or an
+//! unacknowledged improvement — cannot land silently; intentional changes
+//! re-record the file with `experiments baseline --record`.
 
+use super::run_ordered;
 use crate::config::ExpConfig;
+use crate::gate::{self, r6, Band, Keyed, Spec};
 use crate::output::{num, num6, Experiment};
 use serde::Serialize;
 use serde_json::json;
@@ -18,7 +26,28 @@ use windex_core::prelude::*;
 use windex_sim::phase;
 
 /// Format-version marker for trajectory tooling.
-pub(crate) const SCHEMA_VERSION: u32 = 1;
+const SCHEMA_VERSION: u32 = 1;
+
+/// How `BENCH_baseline.json` is gated.
+pub(crate) const GATE: Spec<Baseline> = Spec {
+    target: "baseline",
+    schema: SCHEMA_VERSION,
+    keyed: &[Keyed {
+        path: "entries",
+        key: &["strategy", "r_gib"],
+        noun: "points",
+    }],
+    bands: &[
+        ("entries[].queries_per_second", Band::Rel(0.02)),
+        ("entries[].translations_per_lookup", Band::Rel(0.02)),
+        ("entries[].tlb_misses", Band::Rel(0.02)),
+        ("entries[].ic_bytes_total", Band::Rel(0.02)),
+        ("entries[].share_partition", Band::Abs(0.02)),
+        ("entries[].share_lookup", Band::Abs(0.02)),
+        ("entries[].share_other", Band::Abs(0.02)),
+    ],
+    invariants: &[],
+};
 
 /// Fixed probe-side size of the baseline matrix (simulated tuples).
 const S_TUPLES: usize = 1 << 13;
@@ -56,35 +85,29 @@ fn strategies() -> Vec<JoinStrategy> {
 
 /// One (strategy, R size) point of the baseline.
 #[derive(Debug, Clone, Serialize)]
-pub(crate) struct BaselineEntry {
-    pub(crate) strategy: String,
-    pub(crate) r_gib: f64,
-    pub(crate) queries_per_second: f64,
-    pub(crate) translations_per_lookup: f64,
-    pub(crate) share_partition: f64,
-    pub(crate) share_lookup: f64,
-    pub(crate) share_other: f64,
-    pub(crate) windows: usize,
-    pub(crate) result_tuples: usize,
-    pub(crate) tlb_misses: u64,
-    pub(crate) ic_bytes_total: u64,
-    pub(crate) retries: u64,
+struct BaselineEntry {
+    strategy: String,
+    r_gib: f64,
+    queries_per_second: f64,
+    translations_per_lookup: f64,
+    share_partition: f64,
+    share_lookup: f64,
+    share_other: f64,
+    windows: usize,
+    result_tuples: usize,
+    tlb_misses: u64,
+    ic_bytes_total: u64,
+    retries: u64,
 }
 
 /// The whole baseline file.
 #[derive(Debug, Clone, Serialize)]
 pub(crate) struct Baseline {
-    pub(crate) schema: u32,
-    pub(crate) scale_factor: u64,
-    pub(crate) s_tuples: usize,
-    pub(crate) window_tuples: usize,
-    pub(crate) entries: Vec<BaselineEntry>,
-}
-
-/// Round to 6 decimals so the recorded trajectory is stable against
-/// last-bit float jitter from benign refactors.
-fn r6(v: f64) -> f64 {
-    (v * 1e6).round() / 1e6
+    schema: u32,
+    scale_factor: u64,
+    s_tuples: usize,
+    window_tuples: usize,
+    entries: Vec<BaselineEntry>,
 }
 
 /// Run one matrix cell on a fresh `Gpu`. Cells are independent
@@ -92,7 +115,13 @@ fn r6(v: f64) -> f64 {
 /// safe: any scheduling of cells produces the same per-cell result.
 /// Also returns the cell's simulated memory-system accesses (L1 + TLB
 /// lookups), the work unit the `simperf` target normalizes by.
-fn run_cell(spec: &GpuSpec, r: &Relation, s: &Relation, gib: f64, st: JoinStrategy) -> CellResult {
+fn run_cell(
+    spec: &GpuSpec,
+    r: &Relation,
+    s: &Relation,
+    gib: f64,
+    st: JoinStrategy,
+) -> (BaselineEntry, u64) {
     let mut gpu = Gpu::new(spec.clone());
     let rep = QueryExecutor::new()
         .run(&mut gpu, r, s, st)
@@ -114,51 +143,6 @@ fn run_cell(spec: &GpuSpec, r: &Relation, s: &Relation, gib: f64, st: JoinStrate
         retries: rep.retries,
     };
     (entry, accesses)
-}
-
-type CellResult = (BaselineEntry, u64);
-
-/// Scatter the cells over `jobs` scoped worker threads (atomic work
-/// stealing) and merge the results back in fixed cell order. Workers only
-/// decide *when* a cell runs, never *what* it computes, so the merged
-/// vector is identical for every job count.
-fn run_cells_parallel(
-    jobs: usize,
-    spec: &GpuSpec,
-    inputs: &[(f64, Relation, Relation)],
-    cells: &[(usize, JoinStrategy)],
-) -> Vec<CellResult> {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    let next = AtomicUsize::new(0);
-    let mut slots: Vec<Option<CellResult>> = vec![None; cells.len()];
-    std::thread::scope(|scope| {
-        let workers: Vec<_> = (0..jobs)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut mine = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= cells.len() {
-                            break;
-                        }
-                        let (input, st) = cells[i];
-                        let (gib, r, s) = &inputs[input];
-                        mine.push((i, run_cell(spec, r, s, *gib, st)));
-                    }
-                    mine
-                })
-            })
-            .collect();
-        for w in workers {
-            for (i, result) in w.join().expect("baseline worker panicked") {
-                slots[i] = Some(result);
-            }
-        }
-    });
-    slots
-        .into_iter()
-        .map(|s| s.expect("every cell was claimed by a worker"))
-        .collect()
 }
 
 /// Compute the seed matrix with `jobs` workers, also returning the total
@@ -183,17 +167,11 @@ pub(crate) fn compute_counted(jobs: usize) -> (Baseline, u64) {
     let cells: Vec<(usize, JoinStrategy)> = (0..inputs.len())
         .flat_map(|input| strategies().into_iter().map(move |st| (input, st)))
         .collect();
-    let results = if jobs <= 1 {
-        cells
-            .iter()
-            .map(|&(input, st)| {
-                let (gib, r, s) = &inputs[input];
-                run_cell(&spec, r, s, *gib, st)
-            })
-            .collect()
-    } else {
-        run_cells_parallel(jobs, &spec, &inputs, &cells)
-    };
+    let results = run_ordered(jobs, cells.len(), |i| {
+        let (input, st) = cells[i];
+        let (gib, r, s) = &inputs[input];
+        run_cell(&spec, r, s, *gib, st)
+    });
     let accesses = results.iter().map(|(_, a)| a).sum();
     let entries = results.into_iter().map(|(e, _)| e).collect();
     (
@@ -208,38 +186,21 @@ pub(crate) fn compute_counted(jobs: usize) -> (Baseline, u64) {
     )
 }
 
-pub(crate) fn compute() -> Baseline {
+fn compute() -> Baseline {
     compute_counted(1).0
-}
-
-/// [`compute`] with a worker count; byte-identical output for any `jobs`.
-pub(crate) fn compute_with_jobs(jobs: usize) -> Baseline {
-    compute_counted(jobs).0
-}
-
-/// The canonical serialization of a computed matrix — what
-/// `BENCH_baseline.json` contains, byte-for-byte.
-fn to_json(data: &Baseline) -> String {
-    let mut text = serde_json::to_string_pretty(data).expect("baseline serializes");
-    text.push('\n');
-    text
 }
 
 /// The canonical baseline serialization, computed serially.
 pub fn baseline_json() -> String {
-    to_json(&compute())
+    gate::to_text(&compute())
 }
 
-/// The `baseline` target: renders the matrix as an experiment table and
-/// writes the canonical `BENCH_baseline.json` into `cfg.out_dir`.
-pub fn baseline(cfg: &ExpConfig) -> Experiment {
-    let data = compute_with_jobs(cfg.jobs);
-    let path = cfg.out_dir.join("BENCH_baseline.json");
-    let write =
-        std::fs::create_dir_all(&cfg.out_dir).and_then(|()| std::fs::write(&path, to_json(&data)));
-    if let Err(e) = write {
-        eprintln!("warning: could not write {}: {e}", path.display());
-    }
+/// The `baseline` target: renders the matrix as an experiment table,
+/// gates it against the committed file, and writes the canonical
+/// `BENCH_baseline.json` into `cfg.out_dir`.
+pub fn baseline(cfg: &ExpConfig) -> Result<Experiment, String> {
+    let data = compute_counted(cfg.jobs).0;
+    let gate_note = gate::run(&GATE, cfg, &data)?;
     let rows = data
         .entries
         .iter()
@@ -257,7 +218,7 @@ pub fn baseline(cfg: &ExpConfig) -> Experiment {
             ]
         })
         .collect();
-    Experiment {
+    Ok(Experiment {
         id: "baseline".into(),
         title: "Perf baseline: Q/s, translations/lookup, per-phase shares (fixed matrix)".into(),
         columns: vec![
@@ -274,50 +235,61 @@ pub fn baseline(cfg: &ExpConfig) -> Experiment {
         rows,
         notes: vec![
             "fixed seed matrix, independent of --quick: canonical regression trajectory".into(),
+            gate_note,
             format!(
                 "also written as BENCH_baseline.json (schema v{SCHEMA_VERSION}); \
                  same toolchain => byte-identical, enforced by CI"
             ),
         ],
-    }
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::OnceLock;
+
+    /// The seed matrix is expensive; compute it once for the whole module.
+    fn fresh() -> &'static Baseline {
+        static FRESH: OnceLock<Baseline> = OnceLock::new();
+        FRESH.get_or_init(compute)
+    }
 
     #[test]
     fn baseline_is_byte_deterministic() {
-        assert_eq!(baseline_json(), baseline_json());
+        assert_eq!(gate::to_text(fresh()), baseline_json());
     }
 
     #[test]
     fn parallel_jobs_are_byte_identical_to_serial() {
-        let serial = to_json(&compute_with_jobs(1));
-        let parallel = to_json(&compute_with_jobs(4));
-        assert_eq!(serial, parallel, "--jobs must not change the report");
+        let parallel = gate::to_text(&compute_counted(4).0);
+        assert_eq!(
+            gate::to_text(fresh()),
+            parallel,
+            "--jobs must not change the report"
+        );
     }
 
     #[test]
     fn baseline_matches_committed_file() {
-        // The regression gate diffs with tolerance bands; this golden test
-        // holds the canonical artifact to *byte* identity, so any engine
-        // change that moves a counter — even inside the bands — must
-        // regenerate BENCH_baseline.json deliberately.
+        // The gate diffs with tolerance bands; this golden test holds the
+        // canonical artifact to *byte* identity, so any engine change that
+        // moves a counter — even inside the bands — must re-record
+        // BENCH_baseline.json deliberately.
         let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_baseline.json");
         let committed =
             std::fs::read_to_string(path).expect("committed BENCH_baseline.json at the repo root");
         assert_eq!(
-            baseline_json(),
+            gate::to_text(fresh()),
             committed,
             "fresh baseline differs from committed BENCH_baseline.json; \
-             regenerate with `experiments baseline` if intentional"
+             re-record with `experiments baseline --record` if intentional"
         );
     }
 
     #[test]
     fn baseline_covers_the_matrix_with_sane_shares() {
-        let data = compute();
+        let data = fresh();
         assert_eq!(data.entries.len(), R_GIB.len() * strategies().len());
         for e in &data.entries {
             assert!(e.queries_per_second > 0.0, "{}", e.strategy);

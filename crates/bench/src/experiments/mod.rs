@@ -16,7 +16,6 @@ pub mod fig9;
 pub mod figs34;
 pub mod figs56;
 pub mod observe;
-pub mod regress;
 pub mod requests;
 pub mod serve;
 pub mod simperf;
@@ -40,6 +39,17 @@ use windex_core::prelude::*;
 pub fn make_r(cfg: &ExpConfig, gib: f64) -> Relation {
     let n = cfg.scale.sim_tuples_for_paper_gib(gib);
     Relation::unique_sorted(n, KeyDistribution::Dense, 42)
+}
+
+/// The relation the gated serving targets (`chaos`, `cluster`,
+/// `requests`) serve: 1 paper-GiB of dense sorted keys at paper scale,
+/// fixed so their JSON is independent of `--quick`.
+pub(crate) fn gated_serve_relation() -> Relation {
+    Relation::unique_sorted(
+        Scale::PAPER.sim_tuples_for_paper_gib(1.0),
+        KeyDistribution::Dense,
+        42,
+    )
 }
 
 /// Build the uniform probe relation (fixed size, §3.2).
@@ -79,6 +89,50 @@ pub fn run_point_with(
     executor
         .run(&mut gpu, r, s, strategy)
         .expect("experiment query must succeed")
+}
+
+/// Run `job(i)` for every `i` in `0..n` on up to `jobs` scoped worker
+/// threads, returning the results in index order. Workers only decide
+/// *when* an index runs, never *what* it computes, so for deterministic
+/// jobs the result is identical for every `jobs` count.
+pub(crate) fn run_ordered<T: Send>(
+    jobs: usize,
+    n: usize,
+    job: impl Fn(usize) -> T + Sync,
+) -> Vec<T> {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    if jobs <= 1 {
+        return (0..n).map(job).collect();
+    }
+    // The counter only hands out indices; results travel through `join`.
+    let next = AtomicUsize::new(0);
+    let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
+    std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..jobs)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut mine = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= n {
+                            break;
+                        }
+                        mine.push((i, job(i)));
+                    }
+                    mine
+                })
+            })
+            .collect();
+        for w in workers {
+            for (i, result) in w.join().expect("experiment worker panicked") {
+                slots[i] = Some(result);
+            }
+        }
+    });
+    slots
+        .into_iter()
+        .map(|s| s.expect("every index was claimed by a worker"))
+        .collect()
 }
 
 /// The strategy sets of the figures: hash join plus one INLJ per index, in

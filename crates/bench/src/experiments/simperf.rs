@@ -16,29 +16,28 @@
 //!    otherwise, making the determinism contract a gate, not a test-only
 //!    property.
 //!
-//! The result is written as `BENCH_simperf.json`. When a committed copy
-//! exists at the repo root (override with `WINDEX_SIMPERF`), the target
-//! *fails* if the fresh accesses-per-second falls more than 20 % below the
-//! committed number — the engine-speed analogue of the `regress` gate —
-//! and the reported `speedup_vs_committed` is measured against that same
-//! file, so the figure stays honest as the floor rises. A missing
-//! committed file is a warning, not a failure, so the target stays usable
-//! on machines that never recorded a reference point.
+//! The result is written as `BENCH_simperf.json` and gated against the
+//! committed copy at the repo root ([`GATE`]): the target *fails* if the
+//! fresh accesses-per-second falls more than 20 % below the committed
+//! number, and the reported `speedup_vs_committed` is measured against
+//! that same file, so the figure stays honest as the floor rises.
 //!
 //! Unlike `baseline`, the JSON here is machine-dependent by design: it
-//! records wall-clock throughput, not simulated counters.
+//! records wall-clock throughput, not simulated counters, so every field
+//! but the gated one is ignored.
 
 use crate::config::ExpConfig;
 use crate::experiments::baseline;
+use crate::gate::{self, Band, Spec};
 use crate::output::{num, Experiment};
 use serde::Serialize;
-use serde_json::json;
+use serde_json::{json, Value};
 use windex_serve::{generate_trace, serve_tenant_parallel, ServeConfig, TimedRequest, TraceConfig};
 use windex_sim::{GpuSpec, Scale};
 use windex_workload::{KeyDistribution, Relation};
 
 /// Format-version marker.
-pub(crate) const SCHEMA_VERSION: u32 = 2;
+const SCHEMA_VERSION: u32 = 2;
 
 /// Repetitions per measured point; best-of is reported. Five (up from the
 /// pre-memoization three) because generator/fit memoization makes the
@@ -46,11 +45,26 @@ pub(crate) const SCHEMA_VERSION: u32 = 2;
 /// settle on a warm, quiet run.
 const REPS: usize = 5;
 
-/// Fail when fresh accesses/sec drops below this fraction of committed.
-const REGRESSION_FLOOR: f64 = 0.80;
-
-/// Where the committed reference lives unless `WINDEX_SIMPERF` overrides.
-const DEFAULT_SIMPERF_PATH: &str = "BENCH_simperf.json";
+/// How `BENCH_simperf.json` is gated: accesses/sec may not fall below
+/// 80 % of the committed figure; every other field depends on the machine
+/// or the flags.
+pub(crate) const GATE: Spec<Simperf> = Spec {
+    target: "simperf",
+    schema: SCHEMA_VERSION,
+    keyed: &[],
+    bands: &[
+        ("accesses_per_second", Band::MinRatio(0.80)),
+        ("jobs", Band::Ignore),
+        ("reps", Band::Ignore),
+        ("accesses", Band::Ignore),
+        ("best_wall_seconds", Band::Ignore),
+        ("committed_accesses_per_second", Band::Ignore),
+        ("speedup_vs_committed", Band::Ignore),
+        ("historical_pre_rework_matrix_seconds", Band::Ignore),
+        ("serve", Band::Ignore),
+    ],
+    invariants: &[("1-vs-N-thread serve byte identity", serve_is_byte_identical)],
+};
 
 /// Wall-clock seconds one serial baseline-matrix run took on the engine
 /// before the PR 5 batched-issue/flat-array rework. Historical context
@@ -92,7 +106,7 @@ struct ServeAxis {
 
 /// The `BENCH_simperf.json` payload.
 #[derive(Debug, Clone, Serialize)]
-struct Simperf {
+pub(crate) struct Simperf {
     schema: u32,
     jobs: usize,
     reps: usize,
@@ -103,8 +117,8 @@ struct Simperf {
     best_wall_seconds: f64,
     /// The gated metric.
     accesses_per_second: f64,
-    /// The committed reference this run was gated against (absent when no
-    /// committed file existed — a recording run).
+    /// The committed reference this run was gated against (absent on a
+    /// `--record` run).
     committed_accesses_per_second: Option<f64>,
     /// `accesses_per_second / committed_accesses_per_second`; the honest
     /// speedup figure, re-based every time the committed floor rises.
@@ -147,8 +161,8 @@ fn serve_workload() -> (Relation, Vec<TimedRequest>) {
     (r, trace)
 }
 
-/// Measure tenant-parallel serving at 1 and `threads` workers and enforce
-/// the byte-identity of the two outcomes.
+/// Measure tenant-parallel serving at 1 and `threads` workers, recording
+/// whether the two outcomes are byte-identical.
 fn measure_serve(threads: usize) -> Result<ServeAxis, String> {
     let (r, trace) = serve_workload();
     let keys: usize = trace.iter().map(|t| t.request.keys.len()).sum();
@@ -166,12 +180,6 @@ fn measure_serve(threads: usize) -> Result<ServeAxis, String> {
         }
     }
     let byte_identical = payloads[0] == payloads[1];
-    if !byte_identical {
-        return Err(format!(
-            "tenant-parallel serving diverged between 1 and {threads} worker threads \
-             (the outcome must be byte-identical for any thread count)"
-        ));
-    }
     Ok(ServeAxis {
         tenants: SERVE_TENANTS,
         requests: SERVE_REQUESTS,
@@ -185,51 +193,31 @@ fn measure_serve(threads: usize) -> Result<ServeAxis, String> {
     })
 }
 
-/// Read the committed reference's accesses-per-second, if a file exists.
-fn committed_accesses_per_second(path: &str) -> Result<Option<f64>, String> {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(_) => return Ok(None),
-    };
-    let root: serde_json::Value =
-        serde_json::from_str(&text).map_err(|e| format!("'{path}' is not JSON: {e}"))?;
-    root.get("accesses_per_second")
-        .and_then(|v| v.as_f64())
-        .map(Some)
-        .ok_or_else(|| format!("'{path}' has no numeric 'accesses_per_second'"))
+/// The invariant: tenant-parallel serving is byte-identical at 1 and N
+/// worker threads.
+fn serve_is_byte_identical(s: &Simperf) -> Result<(), String> {
+    if s.serve.byte_identical {
+        Ok(())
+    } else {
+        Err(format!(
+            "tenant-parallel serving diverged between 1 and {} worker threads \
+             (the outcome must be byte-identical for any thread count)",
+            s.serve.threads
+        ))
+    }
 }
 
 /// The `simperf` target. `Err` (→ nonzero exit) when engine throughput
 /// regressed more than 20 % against the committed reference, or when the
 /// tenant-parallel serve outcomes diverge across thread counts.
 pub fn simperf(cfg: &ExpConfig) -> Result<Experiment, String> {
+    let committed = gate::committed(&GATE, cfg)?;
+    let committed_aps = committed
+        .as_ref()
+        .and_then(|c| c.get("accesses_per_second"))
+        .and_then(Value::as_f64);
     let (accesses, best_wall) = measure(cfg.jobs);
     let accesses_per_second = accesses as f64 / best_wall;
-    let serve = measure_serve(cfg.serve_threads)?;
-
-    let path = std::env::var("WINDEX_SIMPERF").unwrap_or_else(|_| DEFAULT_SIMPERF_PATH.to_string());
-    let committed = committed_accesses_per_second(&path)?;
-    let gate_note = match committed {
-        None => format!("no committed reference at '{path}'; gate skipped (recording run)"),
-        Some(c) => {
-            if accesses_per_second < REGRESSION_FLOOR * c {
-                return Err(format!(
-                    "simulator throughput regression: {:.0} accesses/sec is below {:.0}% of \
-                     the committed {:.0} (from '{path}')",
-                    accesses_per_second,
-                    REGRESSION_FLOOR * 100.0,
-                    c
-                ));
-            }
-            format!(
-                "gate: fresh {:.2e} accesses/sec vs committed {:.2e} (floor {:.0}%) — ok",
-                accesses_per_second,
-                c,
-                REGRESSION_FLOOR * 100.0
-            )
-        }
-    };
-
     let fresh = Simperf {
         schema: SCHEMA_VERSION,
         jobs: cfg.jobs,
@@ -237,20 +225,12 @@ pub fn simperf(cfg: &ExpConfig) -> Result<Experiment, String> {
         accesses,
         best_wall_seconds: best_wall,
         accesses_per_second,
-        committed_accesses_per_second: committed,
-        speedup_vs_committed: committed.map(|c| accesses_per_second / c),
+        committed_accesses_per_second: committed_aps,
+        speedup_vs_committed: committed_aps.map(|c| accesses_per_second / c),
         historical_pre_rework_matrix_seconds: HISTORICAL_PRE_REWORK_MATRIX_SECONDS,
-        serve,
+        serve: measure_serve(cfg.serve_threads)?,
     };
-
-    let out_path = cfg.out_dir.join("BENCH_simperf.json");
-    let mut text = serde_json::to_string_pretty(&fresh).expect("simperf serializes");
-    text.push('\n');
-    let write =
-        std::fs::create_dir_all(&cfg.out_dir).and_then(|()| std::fs::write(&out_path, text));
-    if let Err(e) = write {
-        eprintln!("warning: could not write {}: {e}", out_path.display());
-    }
+    let gate_note = gate::run_against(&GATE, cfg, &fresh, committed.as_ref())?;
 
     Ok(Experiment {
         id: "simperf".into(),
@@ -316,21 +296,5 @@ mod tests {
         assert!(axis.serial_wall_seconds > 0.0 && axis.parallel_wall_seconds > 0.0);
         assert!(axis.keys > 0);
         assert_eq!(axis.requests, SERVE_REQUESTS);
-    }
-
-    #[test]
-    fn committed_reference_parses_or_is_absent() {
-        // Missing file → no gate.
-        assert_eq!(
-            committed_accesses_per_second("/nonexistent/simperf.json").unwrap(),
-            None
-        );
-        // Malformed file → hard error, not a silent pass.
-        let dir = std::env::temp_dir().join("windex-simperf-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let bad = dir.join("bad.json");
-        std::fs::write(&bad, "{\"schema\": 1}\n").unwrap();
-        let err = committed_accesses_per_second(bad.to_str().unwrap()).unwrap_err();
-        assert!(err.contains("accesses_per_second"), "{err}");
     }
 }
