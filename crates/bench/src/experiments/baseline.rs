@@ -16,13 +16,13 @@
 //! unacknowledged improvement — cannot land silently; intentional changes
 //! re-record the file with `experiments baseline --record`.
 
-use super::run_ordered;
 use crate::config::ExpConfig;
 use crate::gate::{self, r6, Band, Keyed, Spec};
 use crate::output::{num, num6, Experiment};
 use serde::Serialize;
 use serde_json::json;
 use windex_core::prelude::*;
+use windex_serve::parallel::run_lanes;
 use windex_sim::phase;
 
 /// Format-version marker for trajectory tooling.
@@ -167,7 +167,7 @@ pub(crate) fn compute_counted(jobs: usize) -> (Baseline, u64) {
     let cells: Vec<(usize, JoinStrategy)> = (0..inputs.len())
         .flat_map(|input| strategies().into_iter().map(move |st| (input, st)))
         .collect();
-    let results = run_ordered(jobs, cells.len(), |i| {
+    let results = run_lanes(jobs, cells.len(), |i| {
         let (input, st) = cells[i];
         let (gib, r, s) = &inputs[input];
         run_cell(&spec, r, s, *gib, st)

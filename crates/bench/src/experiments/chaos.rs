@@ -23,12 +23,13 @@
 //! scenario must answer every request (availability 1.0) with at least one
 //! finite recovery, or the target fails.
 
-use super::{gated_serve_relation, run_ordered};
+use super::gated_serve_relation;
 use crate::config::ExpConfig;
 use crate::gate::{self, r6, Band, Keyed, Spec};
 use crate::output::{num, num6, Experiment};
 use serde::Serialize;
 use serde_json::json;
+use windex_serve::parallel::run_lanes;
 use windex_serve::prelude::*;
 use windex_sim::ChaosScenario;
 
@@ -161,7 +162,7 @@ fn compute(jobs: usize) -> ChaosBench {
     let r = gated_serve_relation();
     let trace = chaos_trace(&r);
     let scenarios = ChaosScenario::ALL;
-    let mut points = run_ordered(jobs, scenarios.len(), |i| {
+    let mut points = run_lanes(jobs, scenarios.len(), |i| {
         run_scenario(&r, &trace, scenarios[i])
     });
     let calm_goodput = points[0].goodput_rps;

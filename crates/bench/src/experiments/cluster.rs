@@ -23,12 +23,13 @@
 //! exactly; continuous ones (Q/s, keys/s, speedup, MTTR, makespan) get a
 //! 2% relative band for benign cost-model churn.
 
-use super::{gated_serve_relation, run_ordered};
+use super::gated_serve_relation;
 use crate::config::ExpConfig;
 use crate::gate::{self, r6, Band, Keyed, Spec};
 use crate::output::{num, num6, Experiment};
 use serde::Serialize;
 use serde_json::{json, Value};
+use windex_serve::parallel::run_lanes;
 use windex_serve::prelude::*;
 use windex_sim::ChaosScenario;
 
@@ -288,7 +289,7 @@ fn compute(jobs: usize) -> ClusterBench {
             TaskResult::Recovery(run_recovery_point(&r, &recovery_trace, sharded, link))
         }
     };
-    let results = run_ordered(jobs, total, run_task);
+    let results = run_lanes(jobs, total, run_task);
     let mut scaling = Vec::new();
     let mut recovery = Vec::new();
     for result in results {

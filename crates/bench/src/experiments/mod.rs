@@ -91,50 +91,6 @@ pub fn run_point_with(
         .expect("experiment query must succeed")
 }
 
-/// Run `job(i)` for every `i` in `0..n` on up to `jobs` scoped worker
-/// threads, returning the results in index order. Workers only decide
-/// *when* an index runs, never *what* it computes, so for deterministic
-/// jobs the result is identical for every `jobs` count.
-pub(crate) fn run_ordered<T: Send>(
-    jobs: usize,
-    n: usize,
-    job: impl Fn(usize) -> T + Sync,
-) -> Vec<T> {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    if jobs <= 1 {
-        return (0..n).map(job).collect();
-    }
-    // The counter only hands out indices; results travel through `join`.
-    let next = AtomicUsize::new(0);
-    let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        let workers: Vec<_> = (0..jobs)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut mine = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        mine.push((i, job(i)));
-                    }
-                    mine
-                })
-            })
-            .collect();
-        for w in workers {
-            for (i, result) in w.join().expect("experiment worker panicked") {
-                slots[i] = Some(result);
-            }
-        }
-    });
-    slots
-        .into_iter()
-        .map(|s| s.expect("every index was claimed by a worker"))
-        .collect()
-}
-
 /// The strategy sets of the figures: hash join plus one INLJ per index, in
 /// the paper's plot order (B+tree, binary search, Harmonia, RadixSpline).
 pub fn inlj_strategies(make: impl Fn(IndexKind) -> JoinStrategy) -> Vec<JoinStrategy> {

@@ -32,12 +32,13 @@
 //! reconciliation flags) must match exactly; continuous ones (p99s per
 //! stage) get a 2% relative band for benign cost-model churn.
 
-use super::{gated_serve_relation, run_ordered};
+use super::gated_serve_relation;
 use crate::config::ExpConfig;
 use crate::gate::{self, r6, Band, Keyed, Spec};
 use crate::output::{num6, Experiment};
 use serde::Serialize;
 use serde_json::{json, Value};
+use windex_serve::parallel::run_lanes;
 use windex_serve::prelude::*;
 use windex_sim::ChaosScenario;
 
@@ -339,7 +340,7 @@ fn compute(jobs: usize) -> RequestsBench {
         scale_requests: SCALE_REQUESTS,
         chaos_requests: CHAOS_REQUESTS,
         chaos_seed: CHAOS_SEED,
-        points: run_ordered(jobs, 5, run_task),
+        points: run_lanes(jobs, 5, run_task),
     }
 }
 

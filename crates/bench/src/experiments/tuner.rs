@@ -23,13 +23,13 @@
 //! time, aggregate Q/s, keys/s, p99, cost-model error) get a 2% relative
 //! band for benign cost-model churn.
 
-use super::run_ordered;
 use crate::config::ExpConfig;
 use crate::gate::{self, r6, Band, Keyed, Spec};
 use crate::output::{num, num6, Experiment};
 use serde::Serialize;
 use serde_json::json;
 use windex_core::{default_candidates, CandidatePlan, TunerConfig};
+use windex_serve::parallel::run_lanes;
 use windex_serve::prelude::*;
 
 /// Format-version marker for `BENCH_tuner.json`.
@@ -216,7 +216,7 @@ fn compute(jobs: usize) -> TunerBench {
     let mut policies: Vec<Option<CandidatePlan>> = vec![None];
     policies.extend(default_candidates().into_iter().map(Some));
 
-    let points = run_ordered(jobs, policies.len(), |i| {
+    let points = run_lanes(jobs, policies.len(), |i| {
         run_policy(&tenants, &trace, policies[i])
     });
     let best_static = points[1..]

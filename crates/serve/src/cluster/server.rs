@@ -36,22 +36,20 @@ use super::report::{ClusterEvent, ClusterReport, ShardLoad};
 use super::router::ShardRouter;
 use super::spec::{ClusterSpec, Placement};
 use crate::batch::MicroBatcher;
-use crate::report::{LatencyHistogram, LatencyStats};
-use crate::request::{LookupResponse, RequestOutcome, TenantId};
-use crate::resilience::{jittered_backoff_s, RetryBudget, SloTracker};
+use crate::lane::{DeviceLane, Rung};
+use crate::report::{per_second, OutcomeTally};
+use crate::request::{Admitted, LookupResponse, TenantId};
+use crate::resilience::RetryBudget;
 use crate::sched::DrrScheduler;
-use crate::server::{BatchPolicy, ServeConfig};
-use crate::span::{sample_tail, RequestContext, RequestTrace, StageLatencyStats, TailConfig};
+use crate::server::{distinct_tenants, ServeConfig};
+use crate::span::{sample_tail, RequestTrace, StageLatencyStats, TailConfig};
 use crate::trace::TimedRequest;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 use windex_core::query::QueryError;
-use windex_core::session::{MAX_DEVICE_LOSS_RECOVERIES, MIN_WINDOW_TUPLES};
-use windex_core::strategy::{BuiltIndex, IndexConfigs};
-use windex_core::streams::StreamingWindowJoin;
-use windex_core::window::WindowConfig;
+use windex_core::session::MAX_DEVICE_LOSS_RECOVERIES;
 use windex_core::WindexError;
-use windex_sim::{Buffer, ChaosSchedule, CostModel, Gpu, InterconnectSpec, MemLocation};
+use windex_sim::{ChaosSchedule, Gpu, InterconnectSpec};
 use windex_workload::Relation;
 
 /// Bytes shipped over the peer link per fanned-out probe key.
@@ -94,20 +92,13 @@ struct SubRequest {
 /// An admitted request being assembled from its per-shard legs.
 #[derive(Debug)]
 struct Parent {
-    tenant: TenantId,
-    deadline: Option<f64>,
-    submitted_s: f64,
-    /// Keys not yet probed.
-    remaining: usize,
+    req: Admitted,
     /// Shard the response is assembled on (owner of the first key).
     coordinator: usize,
     /// Sub-request ids of this parent, for shed cleanup.
     subs: Vec<u64>,
-    matches: Vec<(u64, u64)>,
     /// Latest delivery instant across the legs merged so far.
     ready_s: f64,
-    /// Span-tree builder for this request's trace.
-    ctx: RequestContext,
 }
 
 /// A dispatch in flight on one shard: results are computed eagerly (the
@@ -136,36 +127,21 @@ struct Shard {
     /// Global tuple range `[lo, hi)` of the resident slice of sorted R.
     lo: usize,
     hi: usize,
-    col: Rc<Buffer<u64>>,
-    index: BuiltIndex,
-    op: StreamingWindowJoin,
-    sink: ResultSinkSlot,
-    window_tuples: usize,
+    /// The slice's index, shared operator, and sink.
+    lane: DeviceLane,
     sched: DrrScheduler,
     batcher: MicroBatcher,
     /// The shard is busy (dispatching or rebuilding) until this instant.
     busy_until_s: f64,
     inflight: Option<PendingDispatch>,
     device_losses: usize,
-    // Per-trace metrics (reset each run).
-    subrequests: usize,
-    keys_probed: usize,
-    dispatches: usize,
-    matches: usize,
-    max_queue_depth_keys: usize,
-    busy_s: f64,
-    cross_bytes: u64,
-}
-
-/// The shard's sink together with its current placement (GPU placement
-/// falls back to CPU under memory pressure, like the single-GPU server).
-#[derive(Debug)]
-struct ResultSinkSlot {
-    sink: windex_join::ResultSink,
-    loc: MemLocation,
+    /// Per-trace load (reset each run); the identity fields `gpu`,
+    /// `alive`, `partitions`, and `tuples` are filled in by the report.
+    load: ShardLoad,
 }
 
 /// Mutable state of one `run()` invocation.
+#[derive(Default)]
 struct RunState {
     clock_s: f64,
     subs: Vec<SubRequest>,
@@ -187,6 +163,14 @@ struct RunState {
     mttr_total_s: f64,
 }
 
+impl RunState {
+    /// Record a request's response and finished span tree.
+    fn reply(&mut self, (resp, span): (LookupResponse, RequestTrace)) {
+        self.responses.push(resp);
+        self.traces.push(span);
+    }
+}
+
 /// The deterministic multi-GPU query server.
 #[derive(Debug)]
 pub struct ClusterServer {
@@ -194,10 +178,8 @@ pub struct ClusterServer {
     r: Relation,
     router: ShardRouter,
     shards: Vec<Shard>,
-    cost: CostModel,
     link: InterconnectSpec,
     retry_budget: RetryBudget,
-    retry_seq: u64,
 }
 
 impl ClusterServer {
@@ -207,26 +189,7 @@ impl ClusterServer {
     pub fn new(cfg: ClusterConfig, r: Relation) -> Result<Self, WindexError> {
         cfg.cluster.validate()?;
         let serve = &cfg.serve;
-        if serve.window_tuples == 0 {
-            return Err(WindexError::InvalidConfig(
-                "serving window must hold at least one key",
-            ));
-        }
-        if serve.quantum_keys == 0 {
-            return Err(WindexError::InvalidConfig("DRR quantum must be positive"));
-        }
-        if serve.max_pending_keys == 0 {
-            return Err(WindexError::InvalidConfig(
-                "backpressure bound must admit at least one key",
-            ));
-        }
-        if let BatchPolicy::Shared { max_delay_s } = serve.policy {
-            if !max_delay_s.is_finite() || max_delay_s <= 0.0 {
-                return Err(WindexError::InvalidConfig(
-                    "shared-batch max delay must be positive",
-                ));
-            }
-        }
+        serve.validate()?;
         if !r.is_sorted_unique() {
             return Err(QueryError::IndexedRelationNotSorted.into());
         }
@@ -242,13 +205,8 @@ impl ClusterServer {
             None => cfg.cluster.shard_bits(&r)?,
         };
         let min_key = r.min_key().unwrap_or(0);
-        let max_key = r.max_key().unwrap_or(0);
-        let domain = max_key - min_key;
-        let domain_bits = if domain == 0 {
-            1
-        } else {
-            64 - domain.leading_zeros()
-        };
+        let domain = r.max_key().unwrap_or(0) - min_key;
+        let domain_bits = (64 - domain.leading_zeros()).max(1);
         if !replicated && bits.shift + bits.bits < domain_bits {
             return Err(WindexError::InvalidConfig(
                 "partition bits must reach the domain's top bit for contiguous shards",
@@ -270,50 +228,21 @@ impl ClusterServer {
             };
             let mut gpu = Gpu::try_new(cfg.cluster.gpu.clone()).map_err(WindexError::from)?;
             let col = Rc::new(gpu.alloc_host_from_vec(r.keys()[lo..hi].to_vec()));
-            let index = BuiltIndex::build(&mut gpu, serve.index, &col, &IndexConfigs::default());
-            let op = StreamingWindowJoin::new(
-                &mut gpu,
-                WindowConfig {
-                    window_tuples: serve.window_tuples,
-                    bits,
-                    min_key,
-                },
-            )?;
-            let mut loc = serve.result_location;
-            let sink =
-                match windex_join::ResultSink::with_capacity(&mut gpu, serve.window_tuples, loc) {
-                    Ok(sk) => sk,
-                    Err(e) if WindexError::from(e.clone()).is_capacity() => {
-                        loc = MemLocation::Cpu;
-                        windex_join::ResultSink::with_capacity(&mut gpu, serve.window_tuples, loc)?
-                    }
-                    Err(e) => return Err(e.into()),
-                };
+            let (lane, _) = DeviceLane::new(&mut gpu, serve, col, bits, min_key)?;
             shards.push(Shard {
                 gpu,
                 alive: true,
                 lo,
                 hi,
-                col,
-                index,
-                op,
-                sink: ResultSinkSlot { sink, loc },
-                window_tuples: serve.window_tuples,
+                lane,
                 sched: DrrScheduler::new(serve.quantum_keys)?,
                 batcher: MicroBatcher::new(),
                 busy_until_s: 0.0,
                 inflight: None,
                 device_losses: 0,
-                subrequests: 0,
-                keys_probed: 0,
-                dispatches: 0,
-                matches: 0,
-                max_queue_depth_keys: 0,
-                busy_s: 0.0,
-                cross_bytes: 0,
+                load: ShardLoad::default(),
             });
         }
-        let cost = CostModel::new(&cfg.cluster.gpu);
         Ok(ClusterServer {
             link: cfg.cluster.peer_link.clone(),
             retry_budget: RetryBudget::new(&cfg.serve.resilience.retry),
@@ -321,8 +250,6 @@ impl ClusterServer {
             r,
             router,
             shards,
-            cost,
-            retry_seq: 0,
         })
     }
 
@@ -372,35 +299,16 @@ impl ClusterServer {
             "trace must be sorted by arrival time"
         );
         let mut st = RunState {
-            clock_s: 0.0,
-            subs: Vec::new(),
-            sub_home: Vec::new(),
-            parents: BTreeMap::new(),
-            leg_of_sub: Vec::new(),
             responses: Vec::with_capacity(trace.len()),
             traces: Vec::with_capacity(trace.len()),
-            events: Vec::new(),
-            cross_shard_bytes: 0,
-            single_shard_requests: 0,
-            cross_shard_requests: 0,
-            failovers: 0,
-            reshards: 0,
-            recoveries: 0,
-            mttr_total_s: 0.0,
+            ..RunState::default()
         };
-        self.retry_seq = 0;
+        self.retry_budget.begin_run();
         for shard in &mut self.shards {
-            shard.op.reset();
-            shard.sink.sink.clear();
+            shard.lane.begin_run();
             shard.busy_until_s = 0.0;
             shard.inflight = None;
-            shard.subrequests = 0;
-            shard.keys_probed = 0;
-            shard.dispatches = 0;
-            shard.matches = 0;
-            shard.max_queue_depth_keys = 0;
-            shard.busy_s = 0.0;
-            shard.cross_bytes = 0;
+            shard.load = ShardLoad::default();
             // The serving clock IS the chaos clock on every device.
             shard.gpu.set_virtual_time(0.0);
         }
@@ -435,9 +343,12 @@ impl ClusterServer {
                     continue;
                 }
                 self.stage_shard(s, &mut st)?;
-                let idle =
-                    self.shards[s].inflight.is_none() && self.shards[s].busy_until_s <= st.clock_s;
-                if idle && self.dispatch_due(s, st.clock_s) {
+                let shard = &self.shards[s];
+                let idle = shard.inflight.is_none() && shard.busy_until_s <= st.clock_s;
+                let policy = self.cfg.serve.policy;
+                if idle
+                    && policy.dispatch_due(&shard.batcher, shard.lane.window_tuples(), st.clock_s)
+                {
                     self.dispatch_shard(s, &mut st)?;
                 }
             }
@@ -454,12 +365,10 @@ impl ClusterServer {
                     next = next.min(shard.busy_until_s);
                 }
             }
-            if let BatchPolicy::Shared { max_delay_s } = self.cfg.serve.policy {
-                for shard in &self.shards {
-                    if shard.alive && shard.inflight.is_none() {
-                        if let Some(since) = shard.batcher.oldest_since() {
-                            next = next.min((since + max_delay_s).max(shard.busy_until_s));
-                        }
+            for shard in &self.shards {
+                if shard.alive && shard.inflight.is_none() {
+                    if let Some(flush_s) = self.cfg.serve.policy.flush_at(&shard.batcher) {
+                        next = next.min(flush_s.max(shard.busy_until_s));
                     }
                 }
             }
@@ -490,22 +399,7 @@ impl ClusterServer {
         if n == 0 {
             // Nothing to probe: answer at admission (as the single-GPU
             // server does) instead of parking an unfinishable parent.
-            let latency = now - t.at_s;
-            let outcome = match t.request.deadline {
-                Some(d) if latency > d => RequestOutcome::DeadlineMissed,
-                _ => RequestOutcome::Completed,
-            };
-            st.responses.push(LookupResponse {
-                request: id,
-                tenant: t.request.tenant,
-                outcome,
-                matches: Vec::new(),
-                submitted_s: t.at_s,
-                completed_s: now,
-                latency_s: latency,
-            });
-            st.traces
-                .push(RequestContext::new(id, t.request.tenant, t.at_s, 0).finish(now, outcome, 0));
+            st.reply(Admitted::new(id, t).answer(now));
             return;
         }
         // Route every key to the shard owning its partition (sharded), or
@@ -540,14 +434,7 @@ impl ClusterServer {
                 request: id,
                 keys: n,
             });
-            st.responses
-                .push(shed_response(id, t.request.tenant, t.at_s, now));
-            st.traces
-                .push(RequestContext::new(id, t.request.tenant, t.at_s, n).finish(
-                    now,
-                    RequestOutcome::Shed,
-                    0,
-                ));
+            st.reply(Admitted::new(id, t).shed(now));
             return;
         }
         if legs.len() > 1 {
@@ -556,21 +443,17 @@ impl ClusterServer {
             st.single_shard_requests += 1;
         }
         let mut parent = Parent {
-            tenant: t.request.tenant,
-            deadline: t.request.deadline,
-            submitted_s: t.at_s,
-            remaining: n,
+            req: Admitted::new(id, t),
             coordinator,
             subs: Vec::with_capacity(legs.len()),
-            matches: Vec::new(),
             ready_s: now,
-            ctx: RequestContext::new(id, t.request.tenant, t.at_s, n),
         };
         for (shard, keys) in legs {
             let sub_id = st.subs.len() as u64;
             let n_keys = keys.len();
             parent.subs.push(sub_id);
             let leg = parent
+                .req
                 .ctx
                 .leg_opened(shard, n_keys, now, shard != coordinator);
             st.leg_of_sub.push(leg);
@@ -583,11 +466,11 @@ impl ClusterServer {
             self.shards[shard]
                 .sched
                 .enqueue(t.request.tenant, sub_id, n_keys);
-            self.shards[shard].subrequests += 1;
+            self.shards[shard].load.subrequests += 1;
             let depth =
                 self.shards[shard].sched.queued_keys() + self.shards[shard].batcher.pending();
-            self.shards[shard].max_queue_depth_keys =
-                self.shards[shard].max_queue_depth_keys.max(depth);
+            let load = &mut self.shards[shard].load;
+            load.max_queue_depth_keys = load.max_queue_depth_keys.max(depth);
         }
         st.parents.insert(id, parent);
     }
@@ -597,18 +480,20 @@ impl ClusterServer {
     fn stage_shard(&mut self, s: usize, st: &mut RunState) -> Result<(), WindexError> {
         loop {
             let shard = &mut self.shards[s];
-            let want = match self.cfg.serve.policy {
-                BatchPolicy::Shared { .. } => shard.batcher.pending() < shard.window_tuples,
-                BatchPolicy::PerRequest => shard.batcher.pending() == 0,
-            };
-            if !want {
+            let window = shard.lane.window_tuples();
+            if !self
+                .cfg
+                .serve
+                .policy
+                .wants_more(shard.batcher.pending(), window)
+            {
                 return Ok(());
             }
             match shard.sched.dequeue()? {
                 Some(sub_id) => {
                     let sub = &st.subs[sub_id as usize];
                     if let Some(p) = st.parents.get_mut(&sub.parent) {
-                        p.ctx.staged(st.clock_s);
+                        p.req.ctx.staged(st.clock_s);
                         shard.batcher.stage(sub_id, &sub.keys, st.clock_s);
                     }
                 }
@@ -617,31 +502,16 @@ impl ClusterServer {
         }
     }
 
-    /// Whether shard `s`'s staged keys are due for dispatch.
-    fn dispatch_due(&self, s: usize, now: f64) -> bool {
-        let shard = &self.shards[s];
-        match self.cfg.serve.policy {
-            BatchPolicy::PerRequest => shard.batcher.pending() > 0,
-            BatchPolicy::Shared { max_delay_s } => {
-                shard.batcher.pending() >= shard.window_tuples
-                    || shard
-                        .batcher
-                        .oldest_since()
-                        .is_some_and(|since| since + max_delay_s <= now)
-            }
-        }
-    }
-
     /// Push one batch through shard `s`'s operator, walking the per-GPU
     /// degradation ladder and, on device loss, the cluster rungs.
     fn dispatch_shard(&mut self, s: usize, st: &mut RunState) -> Result<(), WindexError> {
-        let take = match self.cfg.serve.policy {
-            BatchPolicy::PerRequest => self.shards[s].batcher.pending(),
-            BatchPolicy::Shared { .. } => self.shards[s]
-                .window_tuples
-                .min(self.shards[s].batcher.pending()),
-        };
-        let batch = self.shards[s].batcher.take(take, st.clock_s);
+        let shard = &mut self.shards[s];
+        let take = self
+            .cfg
+            .serve
+            .policy
+            .take(shard.batcher.pending(), shard.lane.window_tuples());
+        let batch = shard.batcher.take(take, st.clock_s);
         if batch.is_empty() {
             return Ok(());
         }
@@ -663,36 +533,14 @@ impl ClusterServer {
         let mut est_total = 0.0f64;
         let mut attempts = 0u32;
         loop {
-            self.shards[s]
-                .gpu
-                .set_virtual_time(st.clock_s + backoff_total);
-            self.shards[s].op.reset();
-            let before = self.shards[s].gpu.snapshot();
-            let attempt = {
-                let shard = &mut self.shards[s];
-                shard
-                    .op
-                    .push(
-                        &mut shard.gpu,
-                        shard.index.as_dyn(),
-                        &batch,
-                        &mut shard.sink.sink,
-                    )
-                    .and_then(|()| {
-                        shard.op.flush_now(
-                            &mut shard.gpu,
-                            shard.index.as_dyn(),
-                            &mut shard.sink.sink,
-                        )
-                    })
-            };
-            let delta = self.shards[s].gpu.snapshot() - before;
-            est_total += self.cost.estimate(&delta, false).total_s;
-            match attempt {
-                Ok(_) => {
-                    let stats = self.shards[s].op.stats();
-                    let pairs = self.shards[s].sink.sink.host_pairs();
-                    self.shards[s].sink.sink.clear();
+            let shard = &mut self.shards[s];
+            shard.gpu.set_virtual_time(st.clock_s + backoff_total);
+            let attempt = shard.lane.attempt(&mut shard.gpu, &batch);
+            est_total += attempt.est_s;
+            let e = match attempt.result {
+                Ok(()) => {
+                    let stats = shard.lane.stats();
+                    let pairs = shard.lane.take_pairs();
                     self.retry_budget.on_success();
                     // Gather-in: keys staged for a remote coordinator had
                     // to cross the peer link before this shard could probe
@@ -717,17 +565,18 @@ impl ClusterServer {
                     // at dispatch time (leg min-wins across split batches).
                     for &sub_id in &member_subs {
                         if let Some(p) = st.parents.get_mut(&st.subs[sub_id as usize].parent) {
-                            p.ctx.dispatched(st.clock_s);
-                            p.ctx
+                            p.req.ctx.dispatched(st.clock_s);
+                            p.req
+                                .ctx
                                 .leg_dispatched(st.leg_of_sub[sub_id as usize], st.clock_s);
                         }
                     }
                     let shard = &mut self.shards[s];
-                    shard.cross_bytes += in_bytes;
-                    shard.keys_probed += batch.len();
-                    shard.dispatches += 1;
-                    shard.matches += stats.matches;
-                    shard.busy_s += done_s - st.clock_s;
+                    shard.load.cross_bytes += in_bytes;
+                    shard.load.keys_probed += batch.len();
+                    shard.load.dispatches += 1;
+                    shard.load.matches += stats.matches;
+                    shard.load.busy_s += done_s - st.clock_s;
                     shard.busy_until_s = done_s;
                     shard.inflight = Some(PendingDispatch {
                         done_s,
@@ -737,83 +586,52 @@ impl ClusterServer {
                     });
                     return Ok(());
                 }
-                Err(e) if e.is_device_loss() => {
-                    let has_survivor = self
-                        .shards
-                        .iter()
-                        .enumerate()
-                        .any(|(i, sh)| i != s && sh.alive);
-                    if !has_survivor {
-                        // Single-GPU rung: in-place rebuild (the PR 6
-                        // recovery path), then redrive the dispatch.
-                        if self.shards[s].device_losses < MAX_DEVICE_LOSS_RECOVERIES {
-                            self.shards[s].device_losses += 1;
-                            let mttr_s = self.recover_in_place(s, st.clock_s + backoff_total)?;
-                            st.events
-                                .push(ClusterEvent::DeviceRecovered { gpu: s, mttr_s });
-                            st.recoveries += 1;
-                            st.mttr_total_s += mttr_s;
-                            backoff_total += mttr_s;
-                            continue;
-                        }
-                        self.abandon(s, &batch, st);
-                        return Ok(());
-                    }
+                Err(e) => e,
+            };
+            if e.is_device_loss() {
+                let has_survivor = self
+                    .shards
+                    .iter()
+                    .enumerate()
+                    .any(|(i, sh)| i != s && sh.alive);
+                if has_survivor {
                     self.lose_shard(s, batch, st)?;
                     return Ok(());
                 }
-                Err(e) if e.is_capacity() => {
-                    if self.shards[s].window_tuples > MIN_WINDOW_TUPLES {
-                        let from = self.shards[s].window_tuples;
-                        let to = (from / 2).max(MIN_WINDOW_TUPLES);
-                        st.events
-                            .push(ClusterEvent::ShardWindowShrunk { gpu: s, from, to });
-                        let shard = &mut self.shards[s];
-                        shard.window_tuples = to;
-                        shard.op = StreamingWindowJoin::new(
-                            &mut shard.gpu,
-                            WindowConfig {
-                                window_tuples: to,
-                                bits: self.router.bits(),
-                                min_key: self.router.min_key(),
-                            },
-                        )?;
-                        continue;
-                    }
-                    if self.shards[s].sink.loc == MemLocation::Gpu {
-                        st.events.push(ClusterEvent::ShardSinkSpilled { gpu: s });
-                        let shard = &mut self.shards[s];
-                        shard.sink.loc = MemLocation::Cpu;
-                        let old = std::mem::replace(
-                            &mut shard.sink.sink,
-                            windex_join::ResultSink::with_capacity(
-                                &mut shard.gpu,
-                                shard.window_tuples,
-                                MemLocation::Cpu,
-                            )?,
-                        );
-                        old.free(&mut shard.gpu);
-                        continue;
-                    }
-                    self.abandon(s, &batch, st);
-                    return Ok(());
+                // Single-GPU rung: rebuild in place, then redrive the
+                // dispatch.
+                let shard = &mut self.shards[s];
+                if shard.device_losses < MAX_DEVICE_LOSS_RECOVERIES {
+                    shard.device_losses += 1;
+                    let lost_at_s = st.clock_s + backoff_total;
+                    let recovery = shard.lane.recover(&mut shard.gpu, lost_at_s)?;
+                    shard.load.busy_s += recovery.rebuild_s;
+                    let mttr_s = recovery.mttr_s(lost_at_s);
+                    st.events
+                        .push(ClusterEvent::DeviceRecovered { gpu: s, mttr_s });
+                    st.recoveries += 1;
+                    st.mttr_total_s += mttr_s;
+                    backoff_total += mttr_s;
+                    continue;
                 }
-                Err(e)
-                    if e.is_transient()
-                        && attempts < self.cfg.serve.resilience.retry.max_attempts_per_dispatch
-                        && self.retry_budget.try_spend() =>
-                {
-                    let backoff_s = jittered_backoff_s(
-                        &self.cfg.serve.resilience.retry,
-                        attempts,
-                        self.retry_seq,
-                    );
-                    self.retry_seq += 1;
+            } else if e.is_capacity() {
+                let shard = &mut self.shards[s];
+                if let Some(rung) = shard.lane.degrade(&mut shard.gpu)? {
+                    st.events.push(match rung {
+                        Rung::WindowShrunk { from, to } => {
+                            ClusterEvent::ShardWindowShrunk { gpu: s, from, to }
+                        }
+                        Rung::SinkSpilled => ClusterEvent::ShardSinkSpilled { gpu: s },
+                    });
+                    continue;
+                }
+            } else if e.is_transient() {
+                if let Some(backoff_s) = self.retry_budget.backoff_s(attempts) {
                     attempts += 1;
                     backoff_total += backoff_s;
                     for &parent_id in &member_parents {
                         if let Some(p) = st.parents.get_mut(&parent_id) {
-                            p.ctx.retried();
+                            p.req.ctx.retried();
                         }
                     }
                     st.events.push(ClusterEvent::DispatchRetried {
@@ -823,17 +641,13 @@ impl ClusterServer {
                     });
                     continue;
                 }
-                Err(e) => {
-                    if e.is_transient() {
-                        st.events.push(ClusterEvent::RetriesExhausted {
-                            gpu: s,
-                            keys: batch.len(),
-                        });
-                    }
-                    self.abandon(s, &batch, st);
-                    return Ok(());
-                }
+                st.events.push(ClusterEvent::RetriesExhausted {
+                    gpu: s,
+                    keys: batch.len(),
+                });
             }
+            self.abandon(s, &batch, st);
+            return Ok(());
         }
     }
 
@@ -869,7 +683,7 @@ impl ClusterServer {
             let (sub_id, _) = self.shards[s].batcher.resolve(rid);
             let parent_id = st.subs[sub_id as usize].parent;
             if let Some(p) = st.parents.get_mut(&parent_id) {
-                p.matches.push((rid_key[&rid], base + pos));
+                p.req.matches.push((rid_key[&rid], base + pos));
                 *matches_of.entry(parent_id).or_insert(0) += 1;
                 *sub_matches.entry(sub_id).or_insert(0) += 1;
             }
@@ -878,45 +692,30 @@ impl ClusterServer {
             let Some(p) = st.parents.get_mut(&parent_id) else {
                 continue; // parent shed while this dispatch was in flight
             };
-            p.remaining -= keys_of[&parent_id];
+            p.req.remaining -= keys_of[&parent_id];
             let delivery_s = if p.coordinator == s {
                 pd.done_s
             } else {
                 // Merge leg: matched pairs stream back to the coordinator.
                 let out_bytes = matches_of.get(&parent_id).copied().unwrap_or(0) * MATCH_BYTES;
                 st.cross_shard_bytes += out_bytes;
-                self.shards[s].cross_bytes += out_bytes;
+                self.shards[s].load.cross_bytes += out_bytes;
                 pd.done_s + self.link.transfer_s(out_bytes)
             };
             p.ready_s = p.ready_s.max(delivery_s);
-            p.ctx.first_result(delivery_s);
+            p.req.ctx.first_result(delivery_s);
             for &sub_id in &subs_of[&parent_id] {
-                p.ctx.leg_delivered(
+                p.req.ctx.leg_delivered(
                     st.leg_of_sub[sub_id as usize],
                     pd.done_s,
                     delivery_s,
                     sub_matches.get(&sub_id).copied().unwrap_or(0),
                 );
             }
-            if p.remaining == 0 {
+            if p.req.remaining == 0 {
                 let mut p = st.parents.remove(&parent_id).expect("parent present");
-                let latency = p.ready_s - p.submitted_s;
-                let outcome = match p.deadline {
-                    Some(d) if latency > d => RequestOutcome::DeadlineMissed,
-                    _ => RequestOutcome::Completed,
-                };
-                p.ctx.merged(p.ready_s);
-                st.traces
-                    .push(p.ctx.finish(p.ready_s, outcome, p.matches.len()));
-                st.responses.push(LookupResponse {
-                    request: parent_id,
-                    tenant: p.tenant,
-                    outcome,
-                    matches: p.matches,
-                    submitted_s: p.submitted_s,
-                    completed_s: p.ready_s,
-                    latency_s: latency,
-                });
+                p.req.ctx.merged(p.ready_s);
+                st.reply(p.req.answer(p.ready_s));
             }
         }
     }
@@ -1013,27 +812,14 @@ impl ClusterServer {
                 let rebuild_at = st.clock_s.max(self.shards[target].busy_until_s) + xfer_s;
                 let shard = &mut self.shards[target];
                 shard.gpu.set_virtual_time(rebuild_at);
-                let before = shard.gpu.snapshot();
-                let col = Rc::new(
-                    shard
-                        .gpu
-                        .alloc_host_from_vec(self.r.keys()[new_lo..new_hi].to_vec()),
-                );
-                let index = BuiltIndex::build(
-                    &mut shard.gpu,
-                    self.cfg.serve.index,
-                    &col,
-                    &IndexConfigs::default(),
-                );
-                let delta = shard.gpu.snapshot() - before;
-                let rebuild_s = self.cost.estimate(&delta, false).total_s;
-                shard.col = col;
-                shard.index = index;
+                let rebuild_s = shard
+                    .lane
+                    .reindex(&mut shard.gpu, self.r.keys()[new_lo..new_hi].to_vec());
                 shard.lo = new_lo;
                 shard.hi = new_hi;
                 shard.busy_until_s = rebuild_at + rebuild_s;
-                shard.busy_s += xfer_s + rebuild_s;
-                shard.cross_bytes += moved_bytes;
+                shard.load.busy_s += xfer_s + rebuild_s;
+                shard.load.cross_bytes += moved_bytes;
                 st.cross_shard_bytes += moved_bytes;
                 let partitions = self.router.reassign_all(s, target);
                 let mttr_s = (rebuild_at + rebuild_s) - st.clock_s;
@@ -1051,48 +837,10 @@ impl ClusterServer {
         Ok(())
     }
 
-    /// In-place device recovery for a cluster with no survivor (one GPU):
-    /// wait out the outage, rebuild index/operator/sink from the slice.
-    /// Returns the MTTR relative to `now_s`.
-    fn recover_in_place(&mut self, s: usize, now_s: f64) -> Result<f64, WindexError> {
-        let shard = &mut self.shards[s];
-        shard.gpu.reset_memory_system();
-        let clearance_s = shard.gpu.chaos_clearance_s().max(now_s);
-        shard.gpu.set_virtual_time(clearance_s);
-        let before = shard.gpu.snapshot();
-        shard.index = BuiltIndex::build(
-            &mut shard.gpu,
-            self.cfg.serve.index,
-            &shard.col,
-            &IndexConfigs::default(),
-        );
-        shard.op = StreamingWindowJoin::new(
-            &mut shard.gpu,
-            WindowConfig {
-                window_tuples: shard.window_tuples,
-                bits: self.router.bits(),
-                min_key: self.router.min_key(),
-            },
-        )?;
-        let old = std::mem::replace(
-            &mut shard.sink.sink,
-            windex_join::ResultSink::with_capacity(
-                &mut shard.gpu,
-                shard.window_tuples,
-                shard.sink.loc,
-            )?,
-        );
-        old.free(&mut shard.gpu);
-        let delta = shard.gpu.snapshot() - before;
-        let rebuild_s = self.cost.estimate(&delta, false).total_s;
-        shard.busy_s += rebuild_s;
-        Ok((clearance_s - now_s) + rebuild_s)
-    }
-
     /// Shed every request with a key in shard `s`'s failed batch, dropping
     /// their still-pending legs from every shard.
     fn abandon(&mut self, s: usize, batch: &[(u64, u64)], st: &mut RunState) {
-        self.shards[s].sink.sink.clear();
+        self.shards[s].lane.clear_sink();
         let mut victims: Vec<u64> = Vec::new();
         for &(_, rid) in batch {
             let (sub_id, _) = self.shards[s].batcher.resolve(rid);
@@ -1117,14 +865,7 @@ impl ClusterServer {
                     self.shards[home].sched.cancel(tenant, sub_id);
                     self.shards[home].batcher.drop_request(sub_id);
                 }
-                st.traces
-                    .push(p.ctx.finish(st.clock_s, RequestOutcome::Shed, 0));
-                st.responses.push(shed_response(
-                    parent_id,
-                    p.tenant,
-                    p.submitted_s,
-                    st.clock_s,
-                ));
+                st.reply(p.req.shed(st.clock_s));
             }
         }
     }
@@ -1144,29 +885,7 @@ impl ClusterServer {
         );
         let stages = StageLatencyStats::from_traces(&st.traces);
         let tail = sample_tail(&st.traces, &TailConfig::default());
-        let completed = st
-            .responses
-            .iter()
-            .filter(|r| r.outcome == RequestOutcome::Completed)
-            .count();
-        let shed = st
-            .responses
-            .iter()
-            .filter(|r| r.outcome == RequestOutcome::Shed)
-            .count();
-        let deadline_missed = st
-            .responses
-            .iter()
-            .filter(|r| r.outcome == RequestOutcome::DeadlineMissed)
-            .count();
-        let samples: Vec<f64> = st
-            .responses
-            .iter()
-            .filter(|r| r.outcome != RequestOutcome::Shed)
-            .map(|r| r.latency_s)
-            .collect();
-        let latency_hist = LatencyHistogram::from_samples(&samples);
-        let latency = LatencyStats::from_samples(samples);
+        let tally = OutcomeTally::of(&st.responses);
         // Merge transfers can outlast the final loop event, so the
         // makespan is the later of the clock and the last delivery.
         let makespan = st
@@ -1174,12 +893,8 @@ impl ClusterServer {
             .iter()
             .map(|r| r.completed_s)
             .fold(st.clock_s, f64::max);
-        let mut slo_tracker = SloTracker::new(&self.cfg.serve.resilience.slo);
-        for r in &st.responses {
-            slo_tracker.observe(r.outcome != RequestOutcome::Shed, r.latency_s);
-        }
-        let slo = slo_tracker.finish(makespan);
-        let keys_probed: usize = self.shards.iter().map(|sh| sh.keys_probed).sum();
+        let slo = tally.slo(&self.cfg.serve.resilience.slo, makespan);
+        let keys_probed: usize = self.shards.iter().map(|sh| sh.load.keys_probed).sum();
         let per_shard: Vec<ShardLoad> = self
             .shards
             .iter()
@@ -1197,13 +912,7 @@ impl ClusterServer {
                     self.router.partitions_owned(s)
                 },
                 tuples: if sh.alive { sh.hi - sh.lo } else { 0 },
-                subrequests: sh.subrequests,
-                keys_probed: sh.keys_probed,
-                dispatches: sh.dispatches,
-                matches: sh.matches,
-                max_queue_depth_keys: sh.max_queue_depth_keys,
-                busy_s: sh.busy_s,
-                cross_bytes: sh.cross_bytes,
+                ..sh.load
             })
             .collect();
         let routed = st.single_shard_requests + st.cross_shard_requests;
@@ -1214,17 +923,12 @@ impl ClusterServer {
             link: self.link.name.to_string(),
             policy: self.cfg.serve.policy.label(),
             index: self.cfg.serve.index,
-            tenants: {
-                let mut t: Vec<TenantId> = trace.iter().map(|t| t.request.tenant).collect();
-                t.sort_unstable();
-                t.dedup();
-                t.len()
-            },
+            tenants: distinct_tenants(trace),
             requests: trace.len(),
-            completed,
-            shed,
-            deadline_missed,
-            result_tuples: st.responses.iter().map(|r| r.matches.len()).sum(),
+            completed: tally.completed,
+            shed: tally.shed,
+            deadline_missed: tally.deadline_missed,
+            result_tuples: tally.result_tuples,
             keys_probed,
             single_shard_requests: st.single_shard_requests,
             cross_shard_requests: st.cross_shard_requests,
@@ -1235,18 +939,10 @@ impl ClusterServer {
             },
             cross_shard_bytes: st.cross_shard_bytes,
             virtual_makespan_s: makespan,
-            completed_rps: if makespan > 0.0 {
-                completed as f64 / makespan
-            } else {
-                0.0
-            },
-            keys_per_second: if makespan > 0.0 {
-                keys_probed as f64 / makespan
-            } else {
-                0.0
-            },
-            latency,
-            latency_hist,
+            completed_rps: per_second(tally.completed, makespan),
+            keys_per_second: per_second(keys_probed, makespan),
+            latency: tally.latency,
+            latency_hist: tally.latency_hist,
             per_shard,
             events: st.events,
             failovers: st.failovers,
@@ -1287,17 +983,4 @@ fn group_by_sub(batcher: &MicroBatcher, chunk: &[(u64, u64)]) -> Vec<(u64, Vec<u
         }
     }
     out
-}
-
-/// Build a [`RequestOutcome::Shed`] response.
-fn shed_response(id: u64, tenant: TenantId, submitted_s: f64, now_s: f64) -> LookupResponse {
-    LookupResponse {
-        request: id,
-        tenant,
-        outcome: RequestOutcome::Shed,
-        matches: Vec::new(),
-        submitted_s,
-        completed_s: now_s,
-        latency_s: now_s - submitted_s,
-    }
 }

@@ -27,7 +27,9 @@
 //! - [`Server`] — the event loop: admission control, batching policies,
 //!   the degradation ladder under memory pressure, and the
 //!   [`ServerReport`] with virtual-time tail latencies ([`server`],
-//!   [`report`]);
+//!   [`report`]). Its per-device state (index, shared operator, sink,
+//!   capacity ladder, device-loss rebuild) is a device lane it shares with
+//!   every [`ClusterServer`] shard;
 //! - [`serve_tenant_parallel`] (and the tuned/cluster variants) — the
 //!   tenant-parallel axis: independent tenants on independent `Gpu`
 //!   lanes, executed by a work-stealing pool, merged in fixed order so
@@ -56,6 +58,7 @@
 
 pub mod batch;
 pub mod cluster;
+mod lane;
 pub mod metrics;
 pub mod parallel;
 pub mod report;

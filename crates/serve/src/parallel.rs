@@ -39,8 +39,8 @@
 //! byte-diff and `crates/serve/tests/parallel.rs` hold that line.
 
 use crate::cluster::{ClusterConfig, ClusterReport, ClusterServer};
-use crate::report::{LatencyHistogram, LatencyStats, ServerReport};
-use crate::request::{LookupResponse, RequestOutcome, TenantId};
+use crate::report::{per_second, LatencyHistogram, LatencyStats, OutcomeTally, ServerReport};
+use crate::request::{LookupResponse, TenantId};
 use crate::server::{ServeConfig, Server};
 use crate::trace::TimedRequest;
 use crate::tuned::{TunedConfig, TunedReport, TunedServer};
@@ -88,47 +88,90 @@ pub fn shard_by_tenant(trace: &[TimedRequest]) -> Vec<TenantShard> {
     shards
 }
 
-/// Run `lane` over every shard on up to `threads` workers and return the
-/// results in shard order. Workers claim shard *indices* from an atomic
-/// counter and write into that index's slot, so the result vector — and
-/// therefore everything merged from it — is independent of the thread
-/// count and of which worker ran which lane. Errors propagate by lane
-/// order (the lowest-tenant failure wins), again thread-count independent.
-fn run_lanes<T, F>(shards: &[TenantShard], threads: usize, lane: F) -> Result<Vec<T>, WindexError>
-where
-    T: Send,
-    F: Fn(&TenantShard) -> Result<T, WindexError> + Sync,
-{
-    let threads = threads.max(1).min(shards.len().max(1));
-    let slots: Vec<Mutex<Option<Result<T, WindexError>>>> =
-        (0..shards.len()).map(|_| Mutex::new(None)).collect();
+/// Run `job(i)` for every `i` in `0..n` on up to `threads` scoped worker
+/// threads and return the results in index order. Workers claim indices
+/// from an atomic counter and write into that index's slot, so the result
+/// vector — and everything merged from it — is independent of the thread
+/// count and of which worker ran which index.
+pub fn run_lanes<T: Send>(threads: usize, n: usize, job: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    let threads = threads.max(1).min(n.max(1));
     if threads == 1 {
         // Serial reference path: same claim order a single worker would
         // take, without spawning.
-        for (shard, slot) in shards.iter().zip(&slots) {
-            *slot.lock().unwrap() = Some(lane(shard));
+        return (0..n).map(job).collect();
+    }
+    let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
+    let next = AtomicUsize::new(0);
+    std::thread::scope(|scope| {
+        for _ in 0..threads {
+            scope.spawn(|| loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= n {
+                    break;
+                }
+                let result = job(i);
+                *slots[i].lock().expect("lane slot poisoned") = Some(result);
+            });
         }
-    } else {
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(shard) = shards.get(i) else { break };
-                    *slots[i].lock().unwrap() = Some(lane(shard));
-                });
-            }
+    });
+    slots
+        .into_iter()
+        .map(|slot| {
+            slot.into_inner()
+                .expect("lane slot poisoned")
+                .expect("every index was claimed by a worker")
+        })
+        .collect()
+}
+
+/// The shared body of the tenant-parallel entry points: serve every
+/// tenant's sub-trace on its own lane, then merge in ascending-tenant
+/// order. `lane` returns the lane's responses (lane-local ids) and report;
+/// `totals` reads a report's keys probed and virtual makespan. Errors
+/// propagate by lane order (the lowest-tenant failure wins), again
+/// independent of the thread count.
+fn serve_lanes<R: Send>(
+    trace: &[TimedRequest],
+    threads: usize,
+    lane: impl Fn(&TenantShard) -> Result<(Vec<LookupResponse>, R), WindexError> + Sync,
+    totals: impl Fn(&R) -> (usize, f64),
+) -> Result<Merged<R>, WindexError> {
+    let shards = shard_by_tenant(trace);
+    let outcomes = run_lanes(threads, shards.len(), |i| lane(&shards[i]));
+    let mut merged = Merged {
+        responses: Vec::with_capacity(trace.len()),
+        lanes: Vec::with_capacity(shards.len()),
+        keys_probed: 0,
+        makespan_s: 0.0,
+    };
+    for (shard, outcome) in shards.iter().zip(outcomes) {
+        let (responses, report) = outcome?;
+        // Re-key to global ids: lane servers number their sub-trace.
+        merged.responses.extend(responses.into_iter().map(|mut r| {
+            r.request = shard.global_ids[r.request as usize];
+            r
+        }));
+        let (keys, makespan_s) = totals(&report);
+        merged.keys_probed += keys;
+        merged.makespan_s = merged.makespan_s.max(makespan_s);
+        merged.lanes.push(TenantLane {
+            tenant: shard.tenant,
+            requests: shard.trace.len(),
+            report,
         });
     }
-    let mut out = Vec::with_capacity(shards.len());
-    for slot in slots {
-        out.push(
-            slot.into_inner()
-                .map_err(|_| WindexError::InvalidState("tenant lane worker panicked"))?
-                .ok_or(WindexError::InvalidState("tenant lane never ran"))??,
-        );
-    }
-    Ok(out)
+    merged.responses.sort_by_key(|r| r.request);
+    Ok(merged)
+}
+
+/// Lanes merged by [`serve_lanes`].
+struct Merged<R> {
+    /// Every response, global ids, sorted by id.
+    responses: Vec<LookupResponse>,
+    lanes: Vec<TenantLane<R>>,
+    keys_probed: usize,
+    /// Slowest lane's virtual makespan.
+    makespan_s: f64,
 }
 
 /// One tenant lane's report. The report's internal request ids are
@@ -189,33 +232,20 @@ pub struct ParallelSummary {
 }
 
 impl ParallelSummary {
-    fn new(
-        lanes: usize,
-        requests: usize,
-        counts: (usize, usize, usize),
-        result_tuples: usize,
-        keys_probed: usize,
-        makespan_s: f64,
-        samples: Vec<f64>,
-    ) -> Self {
-        let (completed, shed, deadline_missed) = counts;
+    fn new<R>(requests: usize, merged: &Merged<R>, tally: OutcomeTally) -> Self {
         ParallelSummary {
             mode: "tenant-parallel".to_string(),
-            lanes,
+            lanes: merged.lanes.len(),
             requests,
-            completed,
-            shed,
-            deadline_missed,
-            result_tuples,
-            keys_probed,
-            virtual_makespan_s: makespan_s,
-            completed_rps: if makespan_s > 0.0 {
-                completed as f64 / makespan_s
-            } else {
-                0.0
-            },
-            latency_hist: LatencyHistogram::from_samples(&samples),
-            latency: LatencyStats::from_samples(samples),
+            completed: tally.completed,
+            shed: tally.shed,
+            deadline_missed: tally.deadline_missed,
+            result_tuples: tally.result_tuples,
+            keys_probed: merged.keys_probed,
+            virtual_makespan_s: merged.makespan_s,
+            completed_rps: per_second(tally.completed, merged.makespan_s),
+            latency: tally.latency,
+            latency_hist: tally.latency_hist,
         }
     }
 }
@@ -251,38 +281,6 @@ pub struct ParallelClusterOutcome {
     pub summary: ParallelSummary,
 }
 
-/// Re-key a lane's responses to global ids and fold them into `merged`.
-fn merge_responses(
-    merged: &mut Vec<LookupResponse>,
-    shard: &TenantShard,
-    mut responses: Vec<LookupResponse>,
-) {
-    for r in &mut responses {
-        r.request = shard.global_ids[r.request as usize];
-    }
-    merged.extend(responses);
-}
-
-/// Outcome tallies over merged responses: (completed, shed,
-/// deadline-missed) counts, total matches, and non-shed latency samples.
-fn response_tallies(responses: &[LookupResponse]) -> ((usize, usize, usize), usize, Vec<f64>) {
-    let mut counts = (0usize, 0usize, 0usize);
-    let mut matches = 0usize;
-    let mut samples = Vec::new();
-    for r in responses {
-        matches += r.matches.len();
-        match r.outcome {
-            RequestOutcome::Completed => counts.0 += 1,
-            RequestOutcome::Shed => counts.1 += 1,
-            RequestOutcome::DeadlineMissed => counts.2 += 1,
-        }
-        if r.outcome != RequestOutcome::Shed {
-            samples.push(r.latency_s);
-        }
-    }
-    (counts, matches, samples)
-}
-
 /// Serve `trace` with one shared-window [`Server`] per tenant, each on its
 /// own fresh `Gpu` lane, using up to `threads` workers. `chaos` (if any)
 /// is installed on **every** lane, so each tenant's device replays the
@@ -296,43 +294,24 @@ pub fn serve_tenant_parallel(
     threads: usize,
     chaos: Option<&ChaosSchedule>,
 ) -> Result<ParallelServeOutcome, WindexError> {
-    let shards = shard_by_tenant(trace);
-    let outcomes = run_lanes(&shards, threads, |shard| {
-        let mut gpu = Gpu::new(spec.clone());
-        if let Some(schedule) = chaos {
-            gpu.set_chaos_schedule(schedule.clone())?;
-        }
-        let mut server = Server::new(&mut gpu, cfg, r.clone())?;
-        server.run(&mut gpu, &shard.trace)
-    })?;
-    let mut responses = Vec::with_capacity(trace.len());
-    let mut lanes = Vec::with_capacity(shards.len());
-    let mut keys_probed = 0usize;
-    let mut makespan_s = 0.0f64;
-    for (shard, outcome) in shards.iter().zip(outcomes) {
-        merge_responses(&mut responses, shard, outcome.responses);
-        keys_probed += outcome.report.keys_probed;
-        makespan_s = makespan_s.max(outcome.report.virtual_makespan_s);
-        lanes.push(TenantLane {
-            tenant: shard.tenant,
-            requests: shard.trace.len(),
-            report: outcome.report,
-        });
-    }
-    responses.sort_by_key(|r| r.request);
-    let (counts, matches, samples) = response_tallies(&responses);
-    let summary = ParallelSummary::new(
-        lanes.len(),
-        trace.len(),
-        counts,
-        matches,
-        keys_probed,
-        makespan_s,
-        samples,
-    );
+    let merged = serve_lanes(
+        trace,
+        threads,
+        |shard| {
+            let mut gpu = Gpu::new(spec.clone());
+            if let Some(schedule) = chaos {
+                gpu.set_chaos_schedule(schedule.clone())?;
+            }
+            let mut server = Server::new(&mut gpu, cfg, r.clone())?;
+            let out = server.run(&mut gpu, &shard.trace)?;
+            Ok((out.responses, out.report))
+        },
+        |rep| (rep.keys_probed, rep.virtual_makespan_s),
+    )?;
+    let summary = ParallelSummary::new(trace.len(), &merged, OutcomeTally::of(&merged.responses));
     Ok(ParallelServeOutcome {
-        responses,
-        lanes,
+        responses: merged.responses,
+        lanes: merged.lanes,
         summary,
     })
 }
@@ -351,57 +330,46 @@ pub fn serve_tuned_tenant_parallel(
     threads: usize,
     chaos: Option<&ChaosSchedule>,
 ) -> Result<ParallelTunedOutcome, WindexError> {
-    let shards = shard_by_tenant(trace);
-    let reports = run_lanes(&shards, threads, |shard| {
-        let r = tenants
-            .iter()
-            .find(|(id, _)| *id == shard.tenant)
-            .map(|(_, r)| r.clone())
-            .ok_or(WindexError::InvalidConfig(
-                "trace request for a tenant the server does not host",
-            ))?;
-        let mut server = TunedServer::new(spec.clone(), cfg, vec![(shard.tenant, r)], None)?;
-        if let Some(schedule) = chaos {
-            server.gpu_mut().set_chaos_schedule(schedule.clone())?;
-        }
-        server.run(&shard.trace)
-    })?;
-    let mut lanes = Vec::with_capacity(shards.len());
-    let mut counts = (0usize, 0usize, 0usize);
-    let mut matches = 0usize;
-    let mut keys_probed = 0usize;
-    let mut makespan_s = 0.0f64;
-    let mut samples = Vec::new();
-    for (shard, report) in shards.iter().zip(reports) {
-        counts.0 += report.completed;
-        counts.2 += report.deadline_missed;
-        matches += report.result_tuples;
-        keys_probed += report.keys_probed;
-        makespan_s = makespan_s.max(report.virtual_makespan_s);
-        // The tuned server queues instead of shedding, so every span tree
-        // carries a served latency.
-        samples.extend(report.traces.iter().map(|t| t.completed_s - t.submitted_s));
-        lanes.push(TenantLane {
-            tenant: shard.tenant,
-            requests: shard.trace.len(),
-            report,
-        });
-    }
+    let merged = serve_lanes(
+        trace,
+        threads,
+        |shard| {
+            let r = tenants
+                .iter()
+                .find(|(id, _)| *id == shard.tenant)
+                .map(|(_, r)| r.clone())
+                .ok_or(WindexError::InvalidConfig(
+                    "trace request for a tenant the server does not host",
+                ))?;
+            let mut server = TunedServer::new(spec.clone(), cfg, vec![(shard.tenant, r)], None)?;
+            if let Some(schedule) = chaos {
+                server.gpu_mut().set_chaos_schedule(schedule.clone())?;
+            }
+            Ok((Vec::new(), server.run(&shard.trace)?))
+        },
+        |rep| (rep.keys_probed, rep.virtual_makespan_s),
+    )?;
+    let reports = || merged.lanes.iter().map(|lane| &lane.report);
+    let deadline_missed = reports().map(|rep| rep.deadline_missed).sum();
     // `completed` counts deadline-missed requests too in TunedReport
     // (they were served); mirror the Server-side convention where the
-    // buckets are disjoint.
-    counts.0 -= counts.2;
-    let requests = trace.len();
-    let summary = ParallelSummary::new(
-        lanes.len(),
-        requests,
-        counts,
-        matches,
-        keys_probed,
-        makespan_s,
-        samples,
+    // buckets are disjoint. The tuned server queues instead of shedding,
+    // so every span tree carries a served latency.
+    let tally = OutcomeTally::new(
+        reports().map(|rep| rep.completed).sum::<usize>() - deadline_missed,
+        0,
+        deadline_missed,
+        reports().map(|rep| rep.result_tuples).sum(),
+        reports()
+            .flat_map(|rep| &rep.traces)
+            .map(|t| t.completed_s - t.submitted_s)
+            .collect(),
     );
-    Ok(ParallelTunedOutcome { lanes, summary })
+    let summary = ParallelSummary::new(trace.len(), &merged, tally);
+    Ok(ParallelTunedOutcome {
+        lanes: merged.lanes,
+        summary,
+    })
 }
 
 /// Serve `trace` with one [`ClusterServer`] per tenant — every tenant gets
@@ -415,42 +383,23 @@ pub fn serve_cluster_tenant_parallel(
     threads: usize,
     chaos: Option<&[ChaosSchedule]>,
 ) -> Result<ParallelClusterOutcome, WindexError> {
-    let shards = shard_by_tenant(trace);
-    let outcomes = run_lanes(&shards, threads, |shard| {
-        let mut server = ClusterServer::new(cfg.clone(), r.clone())?;
-        if let Some(schedules) = chaos {
-            server.set_chaos_schedules(schedules.to_vec())?;
-        }
-        server.run(&shard.trace)
-    })?;
-    let mut responses = Vec::with_capacity(trace.len());
-    let mut lanes = Vec::with_capacity(shards.len());
-    let mut keys_probed = 0usize;
-    let mut makespan_s = 0.0f64;
-    for (shard, outcome) in shards.iter().zip(outcomes) {
-        merge_responses(&mut responses, shard, outcome.responses);
-        keys_probed += outcome.report.keys_probed;
-        makespan_s = makespan_s.max(outcome.report.virtual_makespan_s);
-        lanes.push(TenantLane {
-            tenant: shard.tenant,
-            requests: shard.trace.len(),
-            report: outcome.report,
-        });
-    }
-    responses.sort_by_key(|r| r.request);
-    let (counts, matches, samples) = response_tallies(&responses);
-    let summary = ParallelSummary::new(
-        lanes.len(),
-        trace.len(),
-        counts,
-        matches,
-        keys_probed,
-        makespan_s,
-        samples,
-    );
+    let merged = serve_lanes(
+        trace,
+        threads,
+        |shard| {
+            let mut server = ClusterServer::new(cfg.clone(), r.clone())?;
+            if let Some(schedules) = chaos {
+                server.set_chaos_schedules(schedules.to_vec())?;
+            }
+            let out = server.run(&shard.trace)?;
+            Ok((out.responses, out.report))
+        },
+        |rep| (rep.keys_probed, rep.virtual_makespan_s),
+    )?;
+    let summary = ParallelSummary::new(trace.len(), &merged, OutcomeTally::of(&merged.responses));
     Ok(ParallelClusterOutcome {
-        responses,
-        lanes,
+        responses: merged.responses,
+        lanes: merged.lanes,
         summary,
     })
 }

@@ -1,7 +1,8 @@
 //! Serving metrics: virtual-time latency distributions and the
 //! [`ServerReport`] rendered through the workspace's JSON output path.
 
-use crate::request::TenantId;
+use crate::request::{LookupResponse, RequestOutcome, TenantId};
+use crate::resilience::{SloConfig, SloReport, SloTracker};
 use crate::span::{RequestTrace, StageLatencyStats, TailReport};
 use serde::Serialize;
 use windex_core::WindowStats;
@@ -139,6 +140,81 @@ impl LatencyStats {
             max_s: samples[n - 1],
             dropped,
         }
+    }
+}
+
+/// `count` per virtual second of `makespan_s`; 0 for an empty makespan.
+pub(crate) fn per_second(count: usize, makespan_s: f64) -> f64 {
+    if makespan_s > 0.0 {
+        count as f64 / makespan_s
+    } else {
+        0.0
+    }
+}
+
+/// The end-of-run tally of a served trace: outcome counts, matches
+/// returned, and the latency distribution over answered (non-shed)
+/// requests.
+#[derive(Debug, Clone)]
+pub(crate) struct OutcomeTally {
+    pub completed: usize,
+    pub shed: usize,
+    pub deadline_missed: usize,
+    pub result_tuples: usize,
+    pub latency: LatencyStats,
+    pub latency_hist: LatencyHistogram,
+    /// Answered latencies in response order, for the SLO.
+    samples: Vec<f64>,
+}
+
+impl OutcomeTally {
+    /// Tally `responses`.
+    pub fn of(responses: &[LookupResponse]) -> Self {
+        let mut counts = [0usize; 3];
+        let mut samples = Vec::new();
+        for r in responses {
+            match r.outcome {
+                RequestOutcome::Completed => counts[0] += 1,
+                RequestOutcome::Shed => counts[1] += 1,
+                RequestOutcome::DeadlineMissed => counts[2] += 1,
+            }
+            if r.outcome != RequestOutcome::Shed {
+                samples.push(r.latency_s);
+            }
+        }
+        let result_tuples = responses.iter().map(|r| r.matches.len()).sum();
+        OutcomeTally::new(counts[0], counts[1], counts[2], result_tuples, samples)
+    }
+
+    /// A tally from counts and answered latencies gathered elsewhere.
+    pub fn new(
+        completed: usize,
+        shed: usize,
+        deadline_missed: usize,
+        result_tuples: usize,
+        samples: Vec<f64>,
+    ) -> Self {
+        OutcomeTally {
+            completed,
+            shed,
+            deadline_missed,
+            result_tuples,
+            latency: LatencyStats::from_samples(samples.clone()),
+            latency_hist: LatencyHistogram::from_samples(&samples),
+            samples,
+        }
+    }
+
+    /// SLO attainment over a trace of `makespan_s` virtual seconds.
+    pub fn slo(&self, cfg: &SloConfig, makespan_s: f64) -> SloReport {
+        let mut tracker = SloTracker::new(cfg);
+        for &s in &self.samples {
+            tracker.observe(true, s);
+        }
+        for _ in 0..self.shed {
+            tracker.observe(false, 0.0);
+        }
+        tracker.finish(makespan_s)
     }
 }
 

@@ -6,6 +6,8 @@
 //! set plus virtual-time latency accounting, so latency–throughput curves
 //! come straight out of a served trace.
 
+use crate::span::{RequestContext, RequestTrace};
+use crate::trace::TimedRequest;
 use serde::Serialize;
 
 /// Identifies one client/tenant of the server.
@@ -57,6 +59,18 @@ pub enum RequestOutcome {
     Shed,
 }
 
+impl RequestOutcome {
+    /// Classify a request the device answered after `latency_s`: past its
+    /// `deadline` it is [`DeadlineMissed`](Self::DeadlineMissed), otherwise
+    /// [`Completed`](Self::Completed).
+    pub(crate) fn served(latency_s: f64, deadline: Option<f64>) -> Self {
+        match deadline {
+            Some(d) if latency_s > d => RequestOutcome::DeadlineMissed,
+            _ => RequestOutcome::Completed,
+        }
+    }
+}
+
 /// The server's answer to one [`LookupRequest`].
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct LookupResponse {
@@ -76,6 +90,69 @@ pub struct LookupResponse {
     /// `completed_s - submitted_s`: queueing delay (including deliberate
     /// batching delay) plus service time, in virtual seconds.
     pub latency_s: f64,
+}
+
+/// An admitted request awaiting its answer: the per-request accounting
+/// both serving loops keep.
+#[derive(Debug)]
+pub(crate) struct Admitted {
+    pub id: u64,
+    pub tenant: TenantId,
+    pub deadline: Option<f64>,
+    pub submitted_s: f64,
+    /// Keys not yet probed.
+    pub remaining: usize,
+    pub matches: Vec<(u64, u64)>,
+    /// Span-tree builder following the request through its lifecycle.
+    pub ctx: RequestContext,
+}
+
+impl Admitted {
+    /// Admit trace request `id`.
+    pub fn new(id: u64, t: &TimedRequest) -> Self {
+        let n = t.request.keys.len();
+        Admitted {
+            id,
+            tenant: t.request.tenant,
+            deadline: t.request.deadline,
+            submitted_s: t.at_s,
+            remaining: n,
+            matches: Vec::new(),
+            ctx: RequestContext::new(id, t.request.tenant, t.at_s, n),
+        }
+    }
+
+    /// Answer with the matches gathered so far at `now_s`, classified
+    /// against the deadline.
+    pub fn answer(self, now_s: f64) -> (LookupResponse, RequestTrace) {
+        let latency_s = now_s - self.submitted_s;
+        let outcome = RequestOutcome::served(latency_s, self.deadline);
+        let span = self.ctx.finish(now_s, outcome, self.matches.len());
+        let resp = LookupResponse {
+            request: self.id,
+            tenant: self.tenant,
+            outcome,
+            matches: self.matches,
+            submitted_s: self.submitted_s,
+            completed_s: now_s,
+            latency_s,
+        };
+        (resp, span)
+    }
+
+    /// Shed the request at `now_s`: no matches are returned.
+    pub fn shed(self, now_s: f64) -> (LookupResponse, RequestTrace) {
+        let resp = LookupResponse {
+            request: self.id,
+            tenant: self.tenant,
+            outcome: RequestOutcome::Shed,
+            matches: Vec::new(),
+            submitted_s: self.submitted_s,
+            completed_s: now_s,
+            latency_s: now_s - self.submitted_s,
+        };
+        (resp, self.ctx.finish(now_s, RequestOutcome::Shed, 0))
+    }
 }
 
 #[cfg(test)]

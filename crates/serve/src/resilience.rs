@@ -10,6 +10,8 @@
 //!   retries the server may spend across a trace. Each retry consumes one
 //!   token; each completed dispatch refills a configurable fraction, so
 //!   sustained failure exhausts the budget instead of retrying forever.
+//!   [`RetryBudget::backoff_s`] grants one retry and draws its backoff, so
+//!   both serving loops share the cap, the spend, and the jitter sequence.
 //! - [`jittered_backoff_s`] — exponential backoff with deterministic
 //!   jitter: the delay for retry *n* is `base · 2ⁿ · j` where `j ∈
 //!   (0.5, 1.5]` comes from a counter-indexed splitmix64 draw (the same
@@ -26,6 +28,7 @@
 
 use crate::request::TenantId;
 use serde::Serialize;
+use std::collections::BTreeMap;
 
 /// Retry-budget and backoff parameters.
 #[derive(Debug, Clone, Copy)]
@@ -125,25 +128,41 @@ pub fn jittered_backoff_s(cfg: &RetryConfig, attempt: u32, seq: u64) -> f64 {
     cfg.base_backoff_s * exp * (0.5 + unit)
 }
 
-/// A token pool bounding dispatch-level retries across a served trace.
+/// A token pool bounding dispatch-level retries across a served trace,
+/// plus the backoff schedule the granted retries follow.
 #[derive(Debug, Clone)]
 pub struct RetryBudget {
+    cfg: RetryConfig,
     capacity: f64,
     tokens: f64,
     refill: f64,
     spent: u64,
     denied: u64,
+    /// Ordinal of the next backoff-jitter draw (restarts per trace so runs
+    /// replay identically).
+    seq: u64,
+    /// `spent` / `denied` when the current trace began.
+    run_spent0: u64,
+    run_denied0: u64,
+    /// Backoff granted this trace, in virtual seconds.
+    run_backoff_s: f64,
 }
 
 impl RetryBudget {
-    /// A full budget with the given capacity and per-success refill.
+    /// A full budget with the given capacity, per-success refill, and
+    /// backoff schedule.
     pub fn new(cfg: &RetryConfig) -> Self {
         RetryBudget {
+            cfg: *cfg,
             capacity: cfg.budget_tokens.max(0.0),
             tokens: cfg.budget_tokens.max(0.0),
             refill: cfg.refill_per_success.max(0.0),
             spent: 0,
             denied: 0,
+            seq: 0,
+            run_spent0: 0,
+            run_denied0: 0,
+            run_backoff_s: 0.0,
         }
     }
 
@@ -162,6 +181,40 @@ impl RetryBudget {
     /// Return the per-success refill to the pool (capped at capacity).
     pub fn on_success(&mut self) {
         self.tokens = (self.tokens + self.refill).min(self.capacity);
+    }
+
+    /// Start a new trace: the jitter draws restart and the per-trace
+    /// [`run_report`](Self::run_report) counts from here. The pool itself
+    /// carries over.
+    pub fn begin_run(&mut self) {
+        self.seq = 0;
+        self.run_spent0 = self.spent;
+        self.run_denied0 = self.denied;
+        self.run_backoff_s = 0.0;
+    }
+
+    /// Grant retry `attempt` (0-based) of one dispatch: `Some(backoff)`
+    /// when the attempt is under the per-dispatch cap and the pool has a
+    /// token, with the backoff drawn by [`jittered_backoff_s`]; `None`
+    /// when the dispatch must give up.
+    pub fn backoff_s(&mut self, attempt: u32) -> Option<f64> {
+        if attempt >= self.cfg.max_attempts_per_dispatch || !self.try_spend() {
+            return None;
+        }
+        let backoff_s = jittered_backoff_s(&self.cfg, attempt, self.seq);
+        self.seq += 1;
+        self.run_backoff_s += backoff_s;
+        Some(backoff_s)
+    }
+
+    /// Retry accounting since [`begin_run`](Self::begin_run).
+    pub fn run_report(&self) -> RetryReport {
+        RetryReport {
+            attempts: self.spent - self.run_spent0,
+            denied: self.denied - self.run_denied0,
+            tokens_remaining: self.tokens,
+            backoff_s: self.run_backoff_s,
+        }
     }
 
     /// Tokens currently available.
@@ -363,6 +416,26 @@ pub struct BreakerReport {
     pub half_open_probes: u64,
     /// Per-tenant end-of-trace state, ascending tenant id.
     pub tenants: Vec<TenantBreaker>,
+}
+
+impl BreakerReport {
+    /// Summarize per-tenant breakers; map order (ascending tenant id)
+    /// fixes the exposition order.
+    pub(crate) fn of(breakers: &BTreeMap<TenantId, CircuitBreaker>) -> Self {
+        let mut rep = BreakerReport::default();
+        for (&tenant, b) in breakers {
+            rep.opens += b.opens();
+            rep.fast_rejects += b.fast_rejects();
+            rep.half_open_probes += b.half_open_probes();
+            rep.tenants.push(TenantBreaker {
+                tenant,
+                state: b.state(),
+                opens: b.opens(),
+                fast_rejects: b.fast_rejects(),
+            });
+        }
+        rep
+    }
 }
 
 /// Retry-budget summary over one served trace.

@@ -19,7 +19,7 @@
 //! batches pass. Everything is a pure function of (seed, trace): repeated
 //! runs serialize byte-identically.
 
-use crate::report::{LatencyHistogram, LatencyStats};
+use crate::report::{per_second, LatencyHistogram, LatencyStats};
 use crate::request::{RequestOutcome, TenantId};
 use crate::span::{
     sample_tail, RequestContext, RequestTrace, StageLatencyStats, TailConfig, TailReport,
@@ -366,12 +366,10 @@ impl TunedServer {
             let latency = end_s - q.at_s;
             latencies.push(latency);
             t.completed += 1;
-            let outcome = if q.deadline.is_some_and(|d| latency > d) {
+            let outcome = RequestOutcome::served(latency, q.deadline);
+            if outcome == RequestOutcome::DeadlineMissed {
                 t.deadline_missed += 1;
-                RequestOutcome::DeadlineMissed
-            } else {
-                RequestOutcome::Completed
-            };
+            }
             q.ctx.dispatched(start_s);
             q.ctx.first_result(end_s);
             q.ctx.merged(end_s);
@@ -507,21 +505,9 @@ impl TunedServer {
             explorations: per_tenant.iter().map(|t| t.explorations).sum(),
             virtual_makespan_s: clock,
             busy_s,
-            aggregate_qps: if busy_s > 0.0 {
-                completed as f64 / busy_s
-            } else {
-                0.0
-            },
-            completed_rps: if clock > 0.0 {
-                completed as f64 / clock
-            } else {
-                0.0
-            },
-            keys_per_second: if busy_s > 0.0 {
-                keys_probed as f64 / busy_s
-            } else {
-                0.0
-            },
+            aggregate_qps: per_second(completed, busy_s),
+            completed_rps: per_second(completed, clock),
+            keys_per_second: per_second(keys_probed, busy_s),
             latency: LatencyStats::from_samples(latencies.clone()),
             latency_hist: LatencyHistogram::from_samples(&latencies),
             per_tenant,

@@ -254,7 +254,7 @@ fn tight_device_budget_shrinks_the_shared_window() {
     // Room for roughly half a 2048-key window of partitioned pairs: the
     // first full dispatch must shrink the window to fit.
     spec.hbm_bytes = 32 * 1024;
-    let mut g = Gpu::new(spec);
+    let mut g = Gpu::new(spec.clone());
     let r = relation();
     // Load high enough that shared windows actually fill (the partitioner
     // sizes its device buffers by the dispatched batch, so near-empty
@@ -266,17 +266,13 @@ fn tight_device_budget_shrinks_the_shared_window() {
         },
         &r,
     );
-    let mut server = Server::new(
-        &mut g,
-        ServeConfig {
-            index: IndexKind::BinarySearch,
-            window_tuples: 2048,
-            result_location: MemLocation::Cpu,
-            ..ServeConfig::default()
-        },
-        r.clone(),
-    )
-    .unwrap();
+    let cfg = ServeConfig {
+        index: IndexKind::BinarySearch,
+        window_tuples: 2048,
+        result_location: MemLocation::Cpu,
+        ..ServeConfig::default()
+    };
+    let mut server = Server::new(&mut g, cfg, r.clone()).unwrap();
     let outcome = server.run(&mut g, &trace).unwrap();
     assert!(
         outcome
@@ -289,10 +285,32 @@ fn tight_device_budget_shrinks_the_shared_window() {
     );
     assert!(outcome.report.effective_window_tuples < 2048);
     assert_eq!(outcome.report.shed, 0, "degradation, not shedding");
-    // Results survive the degradation unchanged.
+
+    // A one-GPU cluster over the same device walks the same ladder.
+    let mut cluster = ClusterServer::new(
+        ClusterConfig {
+            serve: cfg,
+            cluster: ClusterSpec::sharded(1, spec, InterconnectSpec::nvlink4_peer()),
+        },
+        r.clone(),
+    )
+    .unwrap();
+    let clustered = cluster.run(&trace).unwrap();
+    assert!(
+        clustered
+            .report
+            .events
+            .iter()
+            .any(|e| matches!(e, ClusterEvent::ShardWindowShrunk { gpu: 0, .. })),
+        "events: {:?}",
+        clustered.report.events
+    );
+    assert_eq!(clustered.report.shed, 0, "degradation, not shedding");
+
+    // Results survive the degradation unchanged, on both servers.
     let mut g2 = gpu();
     let expected = offline_matches(&mut g2, &r, &trace, IndexKind::BinarySearch);
-    for resp in &outcome.responses {
+    for resp in outcome.responses.iter().chain(&clustered.responses) {
         let mut got = resp.matches.clone();
         let mut want = expected[resp.request as usize].clone();
         got.sort_unstable();
@@ -344,36 +362,49 @@ fn unrecoverable_faults_shed_batches_not_the_server() {
 fn server_rejects_invalid_configurations() {
     let mut g = gpu();
     let r = relation();
-    assert!(Server::new(
-        &mut g,
+    let cluster = |serve: ServeConfig| ClusterConfig {
+        serve,
+        cluster: ClusterSpec::sharded(
+            1,
+            GpuSpec::v100_nvlink2(Scale::PAPER),
+            InterconnectSpec::nvlink4_peer(),
+        ),
+    };
+    let bad = [
         ServeConfig {
             window_tuples: 0,
             ..ServeConfig::default()
         },
-        r.clone(),
-    )
-    .is_err());
-    assert!(Server::new(
-        &mut g,
         ServeConfig {
             quantum_keys: 0,
             ..ServeConfig::default()
         },
-        r.clone(),
-    )
-    .is_err());
-    assert!(Server::new(
-        &mut g,
+        ServeConfig {
+            max_pending_keys: 0,
+            ..ServeConfig::default()
+        },
         ServeConfig {
             policy: BatchPolicy::Shared { max_delay_s: 0.0 },
             ..ServeConfig::default()
         },
-        r,
-    )
-    .is_err());
+        ServeConfig {
+            policy: BatchPolicy::Shared {
+                max_delay_s: f64::NAN,
+            },
+            ..ServeConfig::default()
+        },
+    ];
+    for cfg in bad {
+        assert!(Server::new(&mut g, cfg, r.clone()).is_err(), "{cfg:?}");
+        assert!(
+            ClusterServer::new(cluster(cfg), r.clone()).is_err(),
+            "{cfg:?}"
+        );
+    }
     // Unsorted relations cannot be indexed.
     let unsorted = Relation::from_keys(vec![5, 1, 3], false);
-    assert!(Server::new(&mut g, ServeConfig::default(), unsorted).is_err());
+    assert!(Server::new(&mut g, ServeConfig::default(), unsorted.clone()).is_err());
+    assert!(ClusterServer::new(cluster(ServeConfig::default()), unsorted).is_err());
 }
 
 #[test]
@@ -487,6 +518,49 @@ fn device_loss_trace_completes_every_request() {
     let mut g2 = gpu();
     let expected = offline_matches(&mut g2, &r, &trace, IndexKind::RadixSpline);
     for resp in &outcome.responses {
+        let mut got = resp.matches.clone();
+        let mut want = expected[resp.request as usize].clone();
+        got.sort_unstable();
+        want.sort_unstable();
+        assert_eq!(got, want, "request {} differs post-recovery", resp.request);
+    }
+
+    // A one-GPU cluster has no survivor to fail over to: it rebuilds in
+    // place, exactly like the single-GPU server.
+    let mut cluster = ClusterServer::new(
+        ClusterConfig {
+            serve: ServeConfig::default(),
+            cluster: ClusterSpec::sharded(
+                1,
+                GpuSpec::v100_nvlink2(Scale::PAPER),
+                InterconnectSpec::nvlink4_peer(),
+            ),
+        },
+        r.clone(),
+    )
+    .unwrap();
+    cluster
+        .set_chaos_schedules(windex_sim::ChaosScenario::DeviceLoss.cluster_schedules(99, 1, 0))
+        .expect("valid schedule");
+    let clustered = cluster.run(&trace).unwrap();
+    let rep = &clustered.report;
+    assert!(
+        rep.events
+            .iter()
+            .any(|e| matches!(e, ClusterEvent::DeviceRecovered { gpu: 0, .. })),
+        "events: {:?}",
+        rep.events
+    );
+    assert!(rep.recoveries >= 1);
+    assert!(
+        rep.mttr_total_s.is_finite() && rep.mttr_total_s > 0.0,
+        "finite positive MTTR, got {}",
+        rep.mttr_total_s
+    );
+    assert_eq!(rep.shed, 0, "device loss must not shed requests");
+    assert_eq!(rep.slo.availability, 1.0);
+    assert_eq!(rep.alive_gpus, 1, "the lone GPU is rebuilt, not dropped");
+    for resp in &clustered.responses {
         let mut got = resp.matches.clone();
         let mut want = expected[resp.request as usize].clone();
         got.sort_unstable();
