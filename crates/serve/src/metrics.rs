@@ -13,9 +13,9 @@
 //! pin this.
 
 use crate::cluster::ClusterReport;
-use crate::report::{ServeEvent, ServerReport};
+use crate::report::{LatencyHistogram, ServeEvent, ServerReport};
 use crate::span::{RequestTrace, StageLatencyStats};
-use std::fmt::Write as _;
+use std::fmt::{Display, Write as _};
 
 /// The fixed stage order used by every per-stage family.
 const STAGE_NAMES: [&str; 5] = ["queue", "batch", "service", "merge", "other"];
@@ -83,107 +83,65 @@ pub fn render_openmetrics(report: &ServerReport) -> String {
 
     // Per-tenant request accounting. `per_tenant` is already in ascending
     // tenant-id order, which fixes the exposition order.
-    family(
+    labelled(
         &mut o,
         "windex_requests",
         "counter",
         "Requests submitted, by tenant.",
+        "tenant",
+        report.per_tenant.iter().map(|t| (t.tenant, t.requests)),
     );
-    for t in &report.per_tenant {
-        let _ = writeln!(
-            o,
-            "windex_requests_total{{tenant=\"{}\"}} {}",
-            t.tenant, t.requests
-        );
-    }
-    family(
+    labelled(
         &mut o,
         "windex_requests_completed",
         "counter",
         "Requests served within deadline, by tenant.",
+        "tenant",
+        report.per_tenant.iter().map(|t| (t.tenant, t.completed)),
     );
-    for t in &report.per_tenant {
-        let _ = writeln!(
-            o,
-            "windex_requests_completed_total{{tenant=\"{}\"}} {}",
-            t.tenant, t.completed
-        );
-    }
-    family(
+    labelled(
         &mut o,
         "windex_requests_shed",
         "counter",
         "Requests shed by admission control or abandoned batches, by tenant.",
+        "tenant",
+        report.per_tenant.iter().map(|t| (t.tenant, t.shed)),
     );
-    for t in &report.per_tenant {
-        let _ = writeln!(
-            o,
-            "windex_requests_shed_total{{tenant=\"{}\"}} {}",
-            t.tenant, t.shed
-        );
-    }
-    family(
+    labelled(
         &mut o,
         "windex_requests_deadline_missed",
         "counter",
         "Requests served past their deadline, by tenant.",
+        "tenant",
+        report
+            .per_tenant
+            .iter()
+            .map(|t| (t.tenant, t.deadline_missed)),
     );
-    for t in &report.per_tenant {
-        let _ = writeln!(
-            o,
-            "windex_requests_deadline_missed_total{{tenant=\"{}\"}} {}",
-            t.tenant, t.deadline_missed
-        );
-    }
-    family(
+    labelled(
         &mut o,
         "windex_request_keys",
         "counter",
         "Probe keys submitted, by tenant.",
+        "tenant",
+        report.per_tenant.iter().map(|t| (t.tenant, t.keys)),
     );
-    for t in &report.per_tenant {
-        let _ = writeln!(
-            o,
-            "windex_request_keys_total{{tenant=\"{}\"}} {}",
-            t.tenant, t.keys
-        );
-    }
-    family(
+    labelled(
         &mut o,
         "windex_result_tuples",
         "counter",
         "Join matches returned, by tenant.",
+        "tenant",
+        report.per_tenant.iter().map(|t| (t.tenant, t.matches)),
     );
-    for t in &report.per_tenant {
-        let _ = writeln!(
-            o,
-            "windex_result_tuples_total{{tenant=\"{}\"}} {}",
-            t.tenant, t.matches
-        );
-    }
 
     // Latency histogram over served (non-shed) requests, virtual seconds.
-    family(
+    histogram(
         &mut o,
         "windex_request_latency_seconds",
-        "histogram",
         "Request latency over served requests, in virtual seconds.",
+        &report.latency_hist,
     );
-    let h = &report.latency_hist;
-    let cumulative = h.cumulative();
-    for (bound, cum) in h.bounds_s.iter().zip(&cumulative) {
-        let _ = writeln!(
-            o,
-            "windex_request_latency_seconds_bucket{{le=\"{bound}\"}} {cum}"
-        );
-    }
-    let _ = writeln!(
-        o,
-        "windex_request_latency_seconds_bucket{{le=\"+Inf\"}} {}",
-        h.count
-    );
-    let _ = writeln!(o, "windex_request_latency_seconds_count {}", h.count);
-    let _ = writeln!(o, "windex_request_latency_seconds_sum {}", h.sum_s);
 
     // Degradation / shed events over the trace.
     let (mut shrinks, mut spills, mut sheds, mut abandoned) = (0u64, 0u64, 0u64, 0u64);
@@ -261,20 +219,18 @@ pub fn render_openmetrics(report: &ServerReport) -> String {
     let _ = writeln!(o, "windex_keys_probed_total {}", report.keys_probed);
 
     // Resilience: circuit breakers, retry budget, device-loss recovery, SLOs.
-    family(
+    labelled(
         &mut o,
         "windex_circuit_state",
         "gauge",
         "Circuit-breaker state at trace end, by tenant (0=closed, 1=half-open, 2=open).",
+        "tenant",
+        report
+            .breaker
+            .tenants
+            .iter()
+            .map(|t| (t.tenant, t.state.as_gauge())),
     );
-    for t in &report.breaker.tenants {
-        let _ = writeln!(
-            o,
-            "windex_circuit_state{{tenant=\"{}\"}} {}",
-            t.tenant,
-            t.state.as_gauge()
-        );
-    }
     family(
         &mut o,
         "windex_circuit_opens",
@@ -457,133 +413,89 @@ pub fn render_cluster_openmetrics(report: &ClusterReport) -> String {
     let _ = writeln!(o, "windex_cluster_alive_gpus {}", report.alive_gpus);
 
     // Per-GPU shard load. `per_shard` is in ascending GPU-id order.
-    family(
+    labelled(
         &mut o,
         "windex_shard_alive",
         "gauge",
         "Whether the shard's device was alive at trace end.",
+        "gpu",
+        report.per_shard.iter().map(|s| (s.gpu, u8::from(s.alive))),
     );
-    for s in &report.per_shard {
-        let _ = writeln!(
-            o,
-            "windex_shard_alive{{gpu=\"{}\"}} {}",
-            s.gpu,
-            u8::from(s.alive)
-        );
-    }
-    family(
+    labelled(
         &mut o,
         "windex_shard_partitions",
         "gauge",
         "Radix partitions owned by the shard at trace end.",
+        "gpu",
+        report.per_shard.iter().map(|s| (s.gpu, s.partitions)),
     );
-    for s in &report.per_shard {
-        let _ = writeln!(
-            o,
-            "windex_shard_partitions{{gpu=\"{}\"}} {}",
-            s.gpu, s.partitions
-        );
-    }
-    family(
+    labelled(
         &mut o,
         "windex_shard_tuples",
         "gauge",
         "Tuples resident in the shard's slice at trace end.",
+        "gpu",
+        report.per_shard.iter().map(|s| (s.gpu, s.tuples)),
     );
-    for s in &report.per_shard {
-        let _ = writeln!(o, "windex_shard_tuples{{gpu=\"{}\"}} {}", s.gpu, s.tuples);
-    }
-    family(
+    labelled(
         &mut o,
         "windex_shard_subrequests",
         "counter",
         "Sub-requests routed to the shard.",
+        "gpu",
+        report.per_shard.iter().map(|s| (s.gpu, s.subrequests)),
     );
-    for s in &report.per_shard {
-        let _ = writeln!(
-            o,
-            "windex_shard_subrequests_total{{gpu=\"{}\"}} {}",
-            s.gpu, s.subrequests
-        );
-    }
-    family(
+    labelled(
         &mut o,
         "windex_shard_keys_probed",
         "counter",
         "Probe keys dispatched through the shard's windows.",
+        "gpu",
+        report.per_shard.iter().map(|s| (s.gpu, s.keys_probed)),
     );
-    for s in &report.per_shard {
-        let _ = writeln!(
-            o,
-            "windex_shard_keys_probed_total{{gpu=\"{}\"}} {}",
-            s.gpu, s.keys_probed
-        );
-    }
-    family(
+    labelled(
         &mut o,
         "windex_shard_dispatches",
         "counter",
         "Windows the shard dispatched.",
+        "gpu",
+        report.per_shard.iter().map(|s| (s.gpu, s.dispatches)),
     );
-    for s in &report.per_shard {
-        let _ = writeln!(
-            o,
-            "windex_shard_dispatches_total{{gpu=\"{}\"}} {}",
-            s.gpu, s.dispatches
-        );
-    }
-    family(
+    labelled(
         &mut o,
         "windex_shard_matches",
         "counter",
         "Join matches the shard produced.",
+        "gpu",
+        report.per_shard.iter().map(|s| (s.gpu, s.matches)),
     );
-    for s in &report.per_shard {
-        let _ = writeln!(
-            o,
-            "windex_shard_matches_total{{gpu=\"{}\"}} {}",
-            s.gpu, s.matches
-        );
-    }
-    family(
+    labelled(
         &mut o,
         "windex_shard_queue_depth_keys",
         "gauge",
         "Largest queued-key backlog observed on the shard at any admission.",
+        "gpu",
+        report
+            .per_shard
+            .iter()
+            .map(|s| (s.gpu, s.max_queue_depth_keys)),
     );
-    for s in &report.per_shard {
-        let _ = writeln!(
-            o,
-            "windex_shard_queue_depth_keys{{gpu=\"{}\"}} {}",
-            s.gpu, s.max_queue_depth_keys
-        );
-    }
-    family(
+    labelled(
         &mut o,
         "windex_shard_busy_seconds",
         "counter",
         "Virtual time the shard spent dispatching or rebuilding.",
+        "gpu",
+        report.per_shard.iter().map(|s| (s.gpu, s.busy_s)),
     );
-    for s in &report.per_shard {
-        let _ = writeln!(
-            o,
-            "windex_shard_busy_seconds_total{{gpu=\"{}\"}} {}",
-            s.gpu, s.busy_s
-        );
-    }
-    family(
+    labelled(
         &mut o,
         "windex_shard_cross_bytes",
         "counter",
         "Peer-link bytes the shard exchanged for remote-coordinator work.",
+        "gpu",
+        report.per_shard.iter().map(|s| (s.gpu, s.cross_bytes)),
     );
-    for s in &report.per_shard {
-        let _ = writeln!(
-            o,
-            "windex_shard_cross_bytes_total{{gpu=\"{}\"}} {}",
-            s.gpu, s.cross_bytes
-        );
-    }
 
     // Cluster-level routing and traffic.
     family(
@@ -705,27 +617,12 @@ pub fn render_cluster_openmetrics(report: &ClusterReport) -> String {
         "windex_cluster_keys_per_second {}",
         report.keys_per_second
     );
-    family(
+    histogram(
         &mut o,
         "windex_cluster_latency_seconds",
-        "histogram",
         "Request latency over served requests, in virtual seconds.",
+        &report.latency_hist,
     );
-    let h = &report.latency_hist;
-    let cumulative = h.cumulative();
-    for (bound, cum) in h.bounds_s.iter().zip(&cumulative) {
-        let _ = writeln!(
-            o,
-            "windex_cluster_latency_seconds_bucket{{le=\"{bound}\"}} {cum}"
-        );
-    }
-    let _ = writeln!(
-        o,
-        "windex_cluster_latency_seconds_bucket{{le=\"+Inf\"}} {}",
-        h.count
-    );
-    let _ = writeln!(o, "windex_cluster_latency_seconds_count {}", h.count);
-    let _ = writeln!(o, "windex_cluster_latency_seconds_sum {}", h.sum_s);
     family(
         &mut o,
         "windex_cluster_slo_availability",
@@ -828,71 +725,52 @@ pub fn render_tuner_openmetrics(report: &crate::tuned::TunedReport) -> String {
             t.tenant
         );
     }
-    family(
+    labelled(
         &mut o,
         "windex_tuner_switches",
         "counter",
         "Argmin strategy switches, by tenant.",
+        "tenant",
+        report.per_tenant.iter().map(|t| (t.tenant, t.switches)),
     );
-    for t in &report.per_tenant {
-        let _ = writeln!(
-            o,
-            "windex_tuner_switches_total{{tenant=\"{}\"}} {}",
-            t.tenant, t.switches
-        );
-    }
-    family(
+    labelled(
         &mut o,
         "windex_tuner_explorations",
         "counter",
         "Epsilon-greedy exploration batches, by tenant.",
+        "tenant",
+        report.per_tenant.iter().map(|t| (t.tenant, t.explorations)),
     );
-    for t in &report.per_tenant {
-        let _ = writeln!(
-            o,
-            "windex_tuner_explorations_total{{tenant=\"{}\"}} {}",
-            t.tenant, t.explorations
-        );
-    }
-    family(
+    labelled(
         &mut o,
         "windex_tuner_pinned_batches",
         "counter",
         "Batches decided while degradation-pinned, by tenant.",
+        "tenant",
+        report
+            .per_tenant
+            .iter()
+            .map(|t| (t.tenant, t.pinned_batches)),
     );
-    for t in &report.per_tenant {
-        let _ = writeln!(
-            o,
-            "windex_tuner_pinned_batches_total{{tenant=\"{}\"}} {}",
-            t.tenant, t.pinned_batches
-        );
-    }
-    family(
+    labelled(
         &mut o,
         "windex_tuner_cost_error_ratio",
         "gauge",
         "Mean relative |estimated - realized| per-key cost error, by tenant.",
+        "tenant",
+        report
+            .per_tenant
+            .iter()
+            .map(|t| (t.tenant, t.est_cost_error)),
     );
-    for t in &report.per_tenant {
-        let _ = writeln!(
-            o,
-            "windex_tuner_cost_error_ratio{{tenant=\"{}\"}} {}",
-            t.tenant, t.est_cost_error
-        );
-    }
-    family(
+    labelled(
         &mut o,
         "windex_tuner_tenant_busy_seconds",
         "counter",
         "Virtual device time spent on the tenant's dispatches.",
+        "tenant",
+        report.per_tenant.iter().map(|t| (t.tenant, t.busy_s)),
     );
-    for t in &report.per_tenant {
-        let _ = writeln!(
-            o,
-            "windex_tuner_tenant_busy_seconds_total{{tenant=\"{}\"}} {}",
-            t.tenant, t.busy_s
-        );
-    }
 
     // Decision-stream counters (pin/unpin are events, not per-tenant state).
     let pins = report
@@ -961,27 +839,12 @@ pub fn render_tuner_openmetrics(report: &crate::tuned::TunedReport) -> String {
     );
 
     // Latency histogram over completed requests.
-    family(
+    histogram(
         &mut o,
         "windex_tuner_latency_seconds",
-        "histogram",
         "Request latency over completed requests, in virtual seconds.",
+        &report.latency_hist,
     );
-    let h = &report.latency_hist;
-    let cumulative = h.cumulative();
-    for (bound, cum) in h.bounds_s.iter().zip(&cumulative) {
-        let _ = writeln!(
-            o,
-            "windex_tuner_latency_seconds_bucket{{le=\"{bound}\"}} {cum}"
-        );
-    }
-    let _ = writeln!(
-        o,
-        "windex_tuner_latency_seconds_bucket{{le=\"+Inf\"}} {}",
-        h.count
-    );
-    let _ = writeln!(o, "windex_tuner_latency_seconds_count {}", h.count);
-    let _ = writeln!(o, "windex_tuner_latency_seconds_sum {}", h.sum_s);
 
     // Per-stage latency attribution from the span trees.
     stage_families(&mut o, "windex_tuner", &report.stages, &report.traces);
@@ -1059,68 +922,47 @@ pub fn render_parallel_openmetrics(outcome: &crate::parallel::ParallelServeOutco
     );
 
     // Per-lane accounting, ascending tenant id (the fixed merge order).
-    family(
+    labelled(
         &mut o,
         "windex_parallel_lane_requests",
         "counter",
         "Requests served by each tenant lane.",
+        "tenant",
+        outcome
+            .lanes
+            .iter()
+            .map(|lane| (lane.tenant, lane.requests)),
     );
-    for lane in &outcome.lanes {
-        let _ = writeln!(
-            o,
-            "windex_parallel_lane_requests_total{{tenant=\"{}\"}} {}",
-            lane.tenant, lane.requests
-        );
-    }
-    family(
+    labelled(
         &mut o,
         "windex_parallel_lane_completed",
         "counter",
         "Requests completed by each tenant lane.",
+        "tenant",
+        outcome
+            .lanes
+            .iter()
+            .map(|lane| (lane.tenant, lane.report.completed)),
     );
-    for lane in &outcome.lanes {
-        let _ = writeln!(
-            o,
-            "windex_parallel_lane_completed_total{{tenant=\"{}\"}} {}",
-            lane.tenant, lane.report.completed
-        );
-    }
-    family(
+    labelled(
         &mut o,
         "windex_parallel_lane_makespan_seconds",
         "gauge",
         "Each tenant lane's virtual makespan.",
+        "tenant",
+        outcome
+            .lanes
+            .iter()
+            .map(|lane| (lane.tenant, lane.report.virtual_makespan_s)),
     );
-    for lane in &outcome.lanes {
-        let _ = writeln!(
-            o,
-            "windex_parallel_lane_makespan_seconds{{tenant=\"{}\"}} {}",
-            lane.tenant, lane.report.virtual_makespan_s
-        );
-    }
 
     // Merged latency histogram over all non-shed requests, all lanes.
-    family(
+    histogram(
         &mut o,
         "windex_parallel_latency_seconds",
-        "histogram",
         "Request latency over served requests, all lanes, in virtual seconds.",
+        &s.latency_hist,
     );
-    let h = &s.latency_hist;
-    let cumulative = h.cumulative();
-    for (bound, cum) in h.bounds_s.iter().zip(&cumulative) {
-        let _ = writeln!(
-            o,
-            "windex_parallel_latency_seconds_bucket{{le=\"{bound}\"}} {cum}"
-        );
-    }
-    let _ = writeln!(
-        o,
-        "windex_parallel_latency_seconds_bucket{{le=\"+Inf\"}} {}",
-        h.count
-    );
-    let _ = writeln!(o, "windex_parallel_latency_seconds_count {}", h.count);
-    let _ = writeln!(o, "windex_parallel_latency_seconds_sum {}", h.sum_s);
 
     o.push_str("# EOF\n");
     o
@@ -1130,6 +972,35 @@ pub fn render_parallel_openmetrics(outcome: &crate::parallel::ParallelServeOutco
 fn family(o: &mut String, name: &str, kind: &str, help: &str) {
     let _ = writeln!(o, "# HELP {name} {help}");
     let _ = writeln!(o, "# TYPE {name} {kind}");
+}
+
+/// Write a family with one sample per `(label value, value)` row under
+/// `label`; counter samples take the `_total` suffix.
+fn labelled<L: Display, V: Display>(
+    o: &mut String,
+    name: &str,
+    kind: &str,
+    help: &str,
+    label: &str,
+    rows: impl Iterator<Item = (L, V)>,
+) {
+    family(o, name, kind, help);
+    let suffix = if kind == "counter" { "_total" } else { "" };
+    for (l, v) in rows {
+        let _ = writeln!(o, "{name}{suffix}{{{label}=\"{l}\"}} {v}");
+    }
+}
+
+/// Write a latency histogram family: cumulative `le` buckets, then the
+/// `+Inf` bucket, count, and sum.
+fn histogram(o: &mut String, name: &str, help: &str, h: &LatencyHistogram) {
+    family(o, name, "histogram", help);
+    for (bound, cum) in h.bounds_s.iter().zip(&h.cumulative()) {
+        let _ = writeln!(o, "{name}_bucket{{le=\"{bound}\"}} {cum}");
+    }
+    let _ = writeln!(o, "{name}_bucket{{le=\"+Inf\"}} {}", h.count);
+    let _ = writeln!(o, "{name}_count {}", h.count);
+    let _ = writeln!(o, "{name}_sum {}", h.sum_s);
 }
 
 /// Escape a label value per the OpenMetrics text format.
