@@ -155,9 +155,122 @@ impl Admitted {
     }
 }
 
+/// The in-flight requests of one run, addressed by request id in O(1).
+///
+/// Request ids are arrival ordinals, so an id → slot vector indexes them
+/// directly; the values live in slots reused through a free list, so the
+/// table holds only what is in flight, not one entry per trace request.
+#[derive(Debug)]
+pub(crate) struct RequestTable<T> {
+    /// Request id → slot index + 1; 0 when the request is not in flight.
+    slot_of: Vec<u32>,
+    slots: Vec<Option<T>>,
+    /// Empty slots, reused before the table grows.
+    free: Vec<usize>,
+}
+
+impl<T> Default for RequestTable<T> {
+    fn default() -> Self {
+        RequestTable {
+            slot_of: Vec::new(),
+            slots: Vec::new(),
+            free: Vec::new(),
+        }
+    }
+}
+
+impl<T> RequestTable<T> {
+    fn slot(&self, id: u64) -> Option<usize> {
+        let slot = *self.slot_of.get(usize::try_from(id).ok()?)?;
+        (slot as usize).checked_sub(1)
+    }
+
+    /// Put request `id` in flight. Panics if it already is.
+    pub fn insert(&mut self, id: u64, value: T) {
+        let i = usize::try_from(id).expect("request id fits the address space");
+        if i >= self.slot_of.len() {
+            self.slot_of.resize(i + 1, 0);
+        }
+        assert_eq!(self.slot_of[i], 0, "request {id} already in flight");
+        let slot = self.free.pop().unwrap_or(self.slots.len());
+        if slot == self.slots.len() {
+            self.slots.push(None);
+        }
+        self.slots[slot] = Some(value);
+        self.slot_of[i] = u32::try_from(slot + 1).expect("in-flight requests fit u32 slots");
+    }
+
+    /// The in-flight request `id`, if any.
+    pub fn get(&self, id: u64) -> Option<&T> {
+        self.slots[self.slot(id)?].as_ref()
+    }
+
+    /// The in-flight request `id`, mutably, if any.
+    pub fn get_mut(&mut self, id: u64) -> Option<&mut T> {
+        let slot = self.slot(id)?;
+        self.slots[slot].as_mut()
+    }
+
+    /// Whether request `id` is in flight.
+    pub fn contains(&self, id: u64) -> bool {
+        self.slot(id).is_some()
+    }
+
+    /// Take request `id` out of flight, freeing its slot for reuse.
+    pub fn remove(&mut self, id: u64) -> Option<T> {
+        let slot = self.slot(id)?;
+        self.slot_of[id as usize] = 0;
+        self.free.push(slot);
+        self.slots[slot].take()
+    }
+
+    /// Requests in flight.
+    pub fn len(&self) -> usize {
+        self.slots.len() - self.free.len()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn table_addresses_out_of_order_ids_and_reuses_slots() {
+        let mut t = RequestTable::default();
+        for id in [5u64, 0, 3] {
+            t.insert(id, id * 10);
+        }
+        *t.get_mut(5).unwrap() += 1;
+        assert_eq!(
+            (t.get(0), t.get(3), t.get(5)),
+            (Some(&0), Some(&30), Some(&51))
+        );
+        assert!(t.contains(0) && !t.contains(1) && !t.contains(4));
+        assert_eq!((t.remove(0), t.len()), (Some(0), 2));
+        t.insert(1, 11);
+        assert_eq!(t.slots.len(), 3, "the freed slot is reused");
+        assert_eq!((t.get(1), t.len()), (Some(&11), 3));
+        assert_eq!(
+            (t.remove(1), t.remove(3), t.remove(5)),
+            (Some(11), Some(30), Some(51))
+        );
+        assert_eq!(t.len(), 0);
+    }
+
+    #[test]
+    fn table_misses_absent_ids() {
+        let mut t: RequestTable<u8> = RequestTable::default();
+        assert_eq!(t.get(0), None);
+        assert_eq!(t.get_mut(u64::MAX), None);
+        assert_eq!(t.remove(7), None);
+        t.insert(2, 9);
+        assert_eq!(t.remove(2), Some(9));
+        assert_eq!(t.remove(2), None, "removed twice");
+        assert_eq!(
+            (t.get(2), t.get(100), t.contains(2), t.len()),
+            (None, None, false, 0)
+        );
+    }
 
     #[test]
     fn deadline_builder() {

@@ -33,7 +33,7 @@
 use crate::batch::MicroBatcher;
 use crate::lane::{DeviceLane, Rung};
 use crate::report::{per_second, BatchSpan, OutcomeTally, ServeEvent, ServerReport, TenantLoad};
-use crate::request::{Admitted, LookupResponse, RequestOutcome, TenantId};
+use crate::request::{Admitted, LookupResponse, RequestOutcome, RequestTable, TenantId};
 use crate::resilience::{BreakerReport, CircuitBreaker, ResilienceConfig, RetryBudget};
 use crate::sched::DrrScheduler;
 use crate::span::{sample_tail, RequestTrace, StageLatencyStats, TailConfig};
@@ -209,7 +209,7 @@ struct InFlight {
 struct RunState {
     clock: f64,
     batcher: MicroBatcher,
-    inflight: BTreeMap<u64, InFlight>,
+    inflight: RequestTable<InFlight>,
     responses: Vec<LookupResponse>,
     traces: Vec<RequestTrace>,
     events: Vec<ServeEvent>,
@@ -418,7 +418,7 @@ impl Server {
             // fault windows open and close on serving time.
             gpu.set_virtual_time(st.clock);
         }
-        debug_assert!(st.inflight.is_empty(), "all admitted requests answered");
+        debug_assert_eq!(st.inflight.len(), 0, "all admitted requests answered");
         st.responses.sort_by_key(|r| r.request);
         st.traces.sort_by_key(|t| t.request);
         debug_assert_eq!(
@@ -531,7 +531,7 @@ impl Server {
         // first dispatch milestone is now; retries below delay all of them.
         let members = st.requests_in(batch);
         for req in &members {
-            if let Some(inf) = st.inflight.get_mut(req) {
+            if let Some(inf) = st.inflight.get_mut(*req) {
                 inf.req.ctx.dispatched(st.clock);
             }
         }
@@ -593,7 +593,7 @@ impl Server {
                         backoff_s,
                     });
                     for req in &members {
-                        if let Some(inf) = st.inflight.get_mut(req) {
+                        if let Some(inf) = st.inflight.get_mut(*req) {
                             inf.req.ctx.retried();
                         }
                     }
@@ -616,27 +616,23 @@ impl Server {
         let now_s = st.clock;
         for (rid, pos) in self.lane.take_pairs() {
             let (req, key_idx) = st.batcher.resolve(rid);
-            if let Some(inf) = st.inflight.get_mut(&req) {
+            if let Some(inf) = st.inflight.get_mut(req) {
                 inf.req.matches.push((inf.keys[key_idx as usize], pos));
             }
         }
         for &(_, rid) in batch {
             let (req, _) = st.batcher.resolve(rid);
-            if let Some(inf) = st.inflight.get_mut(&req) {
+            if let Some(inf) = st.inflight.get_mut(req) {
                 inf.req.remaining -= 1;
             }
         }
         // Answer finished requests in dispatch order (dedup preserves the
         // order their last keys went out).
         for req in st.requests_in(batch) {
-            if st
-                .inflight
-                .get(&req)
-                .is_none_or(|inf| inf.req.remaining > 0)
-            {
+            if st.inflight.get(req).is_none_or(|inf| inf.req.remaining > 0) {
                 continue;
             }
-            let mut inf = st.inflight.remove(&req).ok_or(WindexError::InvalidState(
+            let mut inf = st.inflight.remove(req).ok_or(WindexError::InvalidState(
                 "completed request vanished from the in-flight table",
             ))?;
             // An answered request is a breaker success for its tenant —
@@ -668,7 +664,7 @@ impl Server {
             requests: victims.len(),
         });
         for req in victims {
-            if let Some(inf) = st.inflight.remove(&req) {
+            if let Some(inf) = st.inflight.remove(req) {
                 st.batcher.drop_request(req);
                 // An abandoned batch is a hard failure for every tenant it
                 // carried; enough of them in a row open the breaker.
@@ -712,7 +708,7 @@ impl RunState {
     /// inconsistency; it surfaces as a typed error instead of an index
     /// panic.
     fn stage(&mut self, id: u64) -> Result<(), WindexError> {
-        let inf = self.inflight.get_mut(&id).ok_or(WindexError::InvalidState(
+        let inf = self.inflight.get_mut(id).ok_or(WindexError::InvalidState(
             "scheduler released a request that is not in flight",
         ))?;
         inf.req.ctx.staged(self.clock);
